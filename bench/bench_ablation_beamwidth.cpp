@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
         const core::ScenarioResult result = core::run_scenario(spec);
         agg.absorb(result);
         switches.add(static_cast<double>(
-            result.counters.value("neighbour_rx_switches") +
-            result.counters.value("serving_rx_switches")));
+            result.counters.counter_value("neighbour_rx_switches") +
+            result.counters.counter_value("serving_rx_switches")));
       }
 
       table.row()

@@ -21,7 +21,6 @@
 // Writes BENCH_fleet.json (same schema as BENCH_micro.json) next to the
 // binary; --report-out additionally writes the machine-readable
 // FleetReport JSON of the largest fleet swept.
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -159,61 +158,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // The batched fast path (tentpole of the incremental-snapshot work):
-  // every (UE, cell) link held hot in one FleetChannelBatch and swept at
-  // 10 ms ticks — pure physics throughput, no protocol state machines.
-  // ns/op is one incremental snapshot refresh plus one full beam-pair
-  // sweep, the unit the >= 10x claim in docs/PERFORMANCE.md is stated in.
-  struct BatchEntry {
-    std::size_t ues;
-    std::size_t sweeps;
-    double wall_seconds;
-    double ns_per_sweep;
-    net::SnapshotCacheStats stats;
-  };
-  std::vector<BatchEntry> batch_entries;
-  constexpr int kBatchSteps = 500;
-
-  Table batch_table({"UEs", "links", "sweeps", "wall s", "ns/sweep",
-                     "cache hit %", "incremental %"});
-  for (const std::size_t n_ues : sweep) {
-    const core::ScenarioSpec spec =
-        fleet_spec(preset_name, n_ues, sim::Duration::milliseconds(duration_ms));
-    fleet::FleetChannelBatch batch(spec);
-    std::vector<phy::Channel::BestPair> pairs;
-    batch.best_pairs(sim::Time::zero(), pairs);  // warm-up: cold builds
-    const auto start = std::chrono::steady_clock::now();
-    for (int step = 1; step <= kBatchSteps; ++step) {
-      batch.best_pairs(
-          sim::Time::zero() + sim::Duration::milliseconds(step * 10), pairs);
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const std::size_t links = batch.ue_count() * batch.cell_count();
-    const std::size_t sweeps = static_cast<std::size_t>(kBatchSteps) * links;
-    const net::SnapshotCacheStats stats = batch.stats();
-    const double ns_per_sweep =
-        sweeps > 0 ? wall * 1e9 / static_cast<double>(sweeps) : 0.0;
-    const std::uint64_t rebuilds = stats.rebuilds();
-    batch_table.row()
-        .cell(n_ues)
-        .cell(links)
-        .cell(sweeps)
-        .cell(wall, 3)
-        .cell(ns_per_sweep, 0)
-        .cell(100.0 * stats.hit_rate(), 1)
-        .cell(rebuilds > 0 ? 100.0 * static_cast<double>(
-                                         stats.incremental_builds) /
-                                 static_cast<double>(rebuilds)
-                           : 0.0,
-              1);
-    batch_entries.push_back({n_ues, sweeps, wall, ns_per_sweep, stats});
-  }
-  std::cout << "\nbatched (UE,cell) sweeps, " << kBatchSteps
-            << " steps x 10 ms:\n";
-  batch_table.print(std::cout);
-
   // BENCH_micro.json schema: a "benchmarks" array of {name, ns_per_op,
   // items_per_second}, plus named extra members.
   std::ofstream out("BENCH_fleet.json");
@@ -224,17 +168,8 @@ int main(int argc, char** argv) {
         e.ues > 0 ? e.wall_seconds * 1e9 / static_cast<double>(e.ues) : 0.0;
     out << "    {\"name\": \"fleet/ues:" << e.ues
         << "\", \"ns_per_op\": " << ns_per_ue
-        << ", \"items_per_second\": " << e.ues_per_second << "},\n";
-  }
-  for (std::size_t i = 0; i < batch_entries.size(); ++i) {
-    const BatchEntry& e = batch_entries[i];
-    out << "    {\"name\": \"fleet/batched_sweeps/ues:" << e.ues
-        << "\", \"ns_per_op\": " << e.ns_per_sweep
-        << ", \"items_per_second\": "
-        << (e.wall_seconds > 0.0
-                ? static_cast<double>(e.sweeps) / e.wall_seconds
-                : 0.0)
-        << "}" << (i + 1 < batch_entries.size() ? "," : "") << "\n";
+        << ", \"items_per_second\": " << e.ues_per_second << "}"
+        << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"fleet\": {";
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -244,23 +179,6 @@ int main(int argc, char** argv) {
         << ", \"ues_per_second\": " << e.ues_per_second
         << ", \"snapshot_cache_hit_rate\": " << e.cache_hit_rate
         << ", \"threads\": " << e.threads << "}";
-  }
-  out << "},\n  \"batched_sweeps\": {";
-  for (std::size_t i = 0; i < batch_entries.size(); ++i) {
-    const BatchEntry& e = batch_entries[i];
-    const net::SnapshotCacheStats& s = e.stats;
-    out << (i > 0 ? ", " : "") << "\"ues_" << e.ues
-        << "\": {\"ns_per_sweep\": " << e.ns_per_sweep
-        << ", \"hits\": " << s.hits << ", \"refreshes\": " << s.refreshes
-        << ", \"cold_misses\": " << s.cold_misses
-        << ", \"invalidations\": " << s.invalidations
-        << ", \"full_builds\": " << s.full_builds
-        << ", \"incremental_builds\": " << s.incremental_builds
-        << ", \"geometry_reuses\": " << s.geometry_reuses
-        << ", \"shadow_reuses\": " << s.shadow_reuses
-        << ", \"blockage_reuses\": " << s.blockage_reuses
-        << ", \"azimuth_reuses\": " << s.azimuth_reuses
-        << ", \"hit_rate\": " << s.hit_rate() << "}";
   }
   out << "}\n}\n";
   std::cout << "\nwrote BENCH_fleet.json\n"

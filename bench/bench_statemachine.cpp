@@ -7,6 +7,7 @@
 // horizon (Tracking, i.e. how much head start the protocol banks before
 // the serving cell dies), and access time (Accessing).
 #include <iostream>
+#include <optional>
 
 #include "bench_util.hpp"
 
@@ -21,6 +22,21 @@ struct Dwells {
   SampleSet access_ms;    ///< Accessing -> HO_COMPLETE
 };
 
+/// Time of the first Silent Tracker event of `type` accepted by `match`.
+template <typename Match>
+std::optional<sim::Time> first_time_of(
+    const std::vector<obs::TraceEvent>& events, obs::TraceEventType type,
+    Match match) {
+  for (const obs::TraceEvent& e : events) {
+    if (e.type == type && match(e)) {
+      return e.t;
+    }
+  }
+  return std::nullopt;
+}
+
+bool any(const obs::TraceEvent& /*e*/) { return true; }
+
 }  // namespace
 
 int main() {
@@ -33,30 +49,39 @@ int main() {
 
   core::ScenarioSpec spec = core::preset::paper_walk();
   spec.ues.front().chain_handovers = false;  // isolate one full traversal
+  spec.collect_trace = true;  // the dwells are read off the typed events
   for (const std::uint64_t seed : st::bench::seeds(30)) {
     spec.seed = seed;
     const core::ScenarioResult result = core::run_scenario(spec);
+    if (result.trace->total_dropped() > 0) {
+      std::cerr << "bench_statemachine: trace ring overflowed (seed " << seed
+                << ")\n";
+      return 1;
+    }
+    const std::vector<obs::TraceEvent> events =
+        result.trace->buffer(obs::Component::kSilentTracker).snapshot();
 
-    sim::Time t_found{};
-    sim::Time t_lost{};
-    sim::Time t_access{};
-    sim::Time t_complete{};
-    const bool found = result.log.first_time_of("FOUND", t_found);
-    const bool lost = result.log.first_time_of("SERVING_LOST", t_lost);
-    const bool access = result.log.first_time_of("STATE Accessing", t_access);
-    const bool complete = result.log.first_time_of("HO_COMPLETE", t_complete);
+    using Type = obs::TraceEventType;
+    const auto found = first_time_of(events, Type::kCellFound, any);
+    const auto lost = first_time_of(events, Type::kServingLost, any);
+    const auto access = first_time_of(
+        events, Type::kStateTransition,
+        [](const obs::TraceEvent& e) { return e.label == "Accessing"; });
+    const auto complete =
+        first_time_of(events, Type::kHandoverComplete,
+                      [](const obs::TraceEvent& e) { return e.flag; });
 
     if (found) {
-      dwells.search_ms.add(t_found.ms());
+      dwells.search_ms.add(found->ms());
     }
-    if (found && lost && t_found < t_lost) {
-      dwells.tracking_ms.add((t_lost - t_found).ms());
+    if (found && lost && *found < *lost) {
+      dwells.tracking_ms.add((*lost - *found).ms());
     }
     if (lost) {
-      discovery_before_loss.record(found && t_found < t_lost);
+      discovery_before_loss.record(found && *found < *lost);
     }
     if (access && complete) {
-      dwells.access_ms.add((t_complete - t_access).ms());
+      dwells.access_ms.add((*complete - *access).ms());
     }
   }
 

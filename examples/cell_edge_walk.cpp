@@ -10,6 +10,8 @@
 //   ./cell_edge_walk [seed]
 #include <cstdlib>
 #include <iostream>
+#include <optional>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/scenario.hpp"
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   core::ScenarioSpec spec =
       core::SpecBuilder(core::preset::paper_walk())
           .duration(30'000_ms)
-          .collect_trace(true)  // feeds the run-report summary below
+          .collect_trace(true)  // feeds the timeline and the run report
           .seed(argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7)
           .build();
   spec.ues.front().chain_handovers = false;  // one clean A -> B story
@@ -59,11 +61,20 @@ int main(int argc, char** argv) {
   // Interleave the 1 Hz link picture with protocol events.
   std::cout << "time      serving-SNR        protocol events\n";
   std::size_t next_event = 0;
-  const auto events = result.log.entries();
-  sim::Time done = sim::Time::zero() + sim::Duration::milliseconds(30'000);
-  if (sim::Time t{}; result.log.first_time_of("HO_COMPLETE", t)) {
-    done = t;
+  std::vector<obs::TraceEvent> events;
+  std::optional<sim::Time> completed;
+  for (const obs::TraceEvent& e :
+       result.trace->buffer(obs::Component::kSilentTracker).snapshot()) {
+    if (e.type == obs::TraceEventType::kRssSample) {
+      continue;
+    }
+    if (!completed && e.type == obs::TraceEventType::kHandoverComplete &&
+        e.flag) {
+      completed = e.t;
+    }
+    events.push_back(e);
   }
+  const sim::Time done = completed.value_or(sim::Time::zero() + 30'000_ms);
   for (std::int64_t ms = 0; ms <= 30'000; ms += 1000) {
     const auto t = sim::Time::zero() + sim::Duration::milliseconds(ms);
     std::string events_here;
@@ -71,7 +82,12 @@ int main(int argc, char** argv) {
       if (!events_here.empty()) {
         events_here += "; ";
       }
-      events_here += events[next_event].message;
+      const obs::TraceEvent& e = events[next_event];
+      events_here += obs::to_string(e.type);
+      if (!e.label.empty()) {
+        events_here += ' ';
+        events_here += e.label;
+      }
       ++next_event;
     }
     const double snr = result.serving_snr_db.value_at(t, -99.0);

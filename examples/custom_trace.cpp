@@ -13,10 +13,12 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/silent_tracker.hpp"
 #include "mobility/trace.hpp"
 #include "net/deployment.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -78,9 +80,8 @@ int main(int argc, char** argv) {
   env.bs_mutable(0).set_serving_tx_beam(initial.tx_beam);
 
   core::SilentTracker tracker(simulator, env, core::SilentTrackerConfig{});
-  sim::EventLog log;
-  sim::CounterSet counters;
-  tracker.set_recorders(&log, &counters);
+  obs::TraceRecorder trace_events;
+  tracker.set_tracer(&trace_events);
   std::optional<net::HandoverRecord> handover;
   tracker.start(0, initial.rx_beam, initial.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { handover = r; });
@@ -88,11 +89,17 @@ int main(int argc, char** argv) {
   simulator.run_until(trace->end_time());
 
   std::cout << "--- protocol events along the trace ---\n";
-  for (const auto& e : log.entries()) {
+  for (const obs::TraceEvent& e :
+       trace_events.buffer(obs::Component::kSilentTracker).snapshot()) {
+    if (e.type == obs::TraceEventType::kRssSample) {
+      continue;
+    }
     const Pose pose = trace->pose_at(e.t);
-    std::printf("  %9.1f ms  x=%5.1f yaw=%6.1f  %s\n", e.t.ms(),
+    const std::string type(obs::to_string(e.type));
+    std::printf("  %9.1f ms  x=%5.1f yaw=%6.1f  %s %.*s\n", e.t.ms(),
                 pose.position.x, rad_to_deg(pose.orientation.yaw()),
-                e.message.c_str());
+                type.c_str(), static_cast<int>(e.label.size()),
+                e.label.data());
   }
 
   std::cout << "\n--- outcome ---\n";

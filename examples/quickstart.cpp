@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   const st::core::ScenarioSpec spec =
       st::core::SpecBuilder(st::core::preset::paper_walk())
           .duration(st::sim::Duration::milliseconds(20'000))
+          .collect_trace(true)  // the timeline below reads the typed events
           .seed(argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42)
           .build();
   const st::core::UeProfile& ue = spec.ues.front();
@@ -28,9 +29,24 @@ int main(int argc, char** argv) {
   const st::core::ScenarioResult result = st::core::run_scenario(spec);
 
   std::cout << "--- protocol timeline ---\n";
-  for (const auto& entry : result.log.entries()) {
-    std::cout << "  " << st::sim::to_string(entry.t) << "  ["
-              << entry.component << "] " << entry.message << '\n';
+  for (const st::obs::TraceEvent& e :
+       result.trace->buffer(st::obs::Component::kSilentTracker).snapshot()) {
+    if (e.type == st::obs::TraceEventType::kRssSample) {
+      continue;  // per-burst samples: see scenario_cli --trace-out
+    }
+    // Unset fields are -1 and omitted, as in obs::write_trace_jsonl.
+    std::cout << "  " << st::sim::to_string(e.t) << "  "
+              << st::obs::to_string(e.type) << ' ' << e.label;
+    if (e.cell >= 0) {
+      std::cout << " cell=" << e.cell;
+    }
+    if (e.beam_a >= 0) {
+      std::cout << " beam_a=" << e.beam_a;
+    }
+    if (e.beam_b >= 0) {
+      std::cout << " beam_b=" << e.beam_b;
+    }
+    std::cout << '\n';
   }
 
   std::cout << "\n--- handovers ---\n";
@@ -50,8 +66,8 @@ int main(int argc, char** argv) {
             << 100.0 * result.tracking_alignment_fraction() << " %\n";
 
   std::cout << "\n--- counters ---\n";
-  for (const auto& [name, value] : result.counters.all()) {
-    std::cout << "  " << name << " = " << value << '\n';
+  for (const auto& [name, counter] : result.counters.counters()) {
+    std::cout << "  " << name << " = " << counter.value() << '\n';
   }
   return 0;
 }

@@ -33,16 +33,17 @@ int main(int argc, char** argv) {
                "switches.\n\n";
 
   const core::ScenarioResult result = core::run_scenario(spec);
+  const obs::MetricRegistry& counters = result.counters;
 
   std::cout << "--- beam switching activity ---\n"
             << "  serving RX switches   : "
-            << result.counters.value("serving_rx_switches") << '\n'
+            << counters.counter_value("serving_rx_switches") << '\n'
             << "  neighbour RX switches : "
-            << result.counters.value("neighbour_rx_switches") << '\n'
+            << counters.counter_value("neighbour_rx_switches") << '\n'
             << "  recovery sweeps       : "
-            << result.counters.value("neighbour_recovery_sweeps") << '\n'
+            << counters.counter_value("neighbour_recovery_sweeps") << '\n'
             << "  BS-side switches      : "
-            << result.counters.value("bs_switches")
+            << counters.counter_value("bs_switches")
             << "  (pure rotation does not move the departure angle — this "
                "should be ~0)\n";
 
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   // the serving tracker should switch ~6 times per second.
   const double run_s = spec.duration.seconds();
   std::cout << "  serving switch rate   : "
-            << format_double(static_cast<double>(result.counters.value(
+            << format_double(static_cast<double>(counters.counter_value(
                                  "serving_rx_switches")) /
                                  run_s,
                              1)

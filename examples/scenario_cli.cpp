@@ -17,7 +17,7 @@
 //     --ssb-period <ms>                    (default 20)
 //     --seed <n>                           (default 1)
 //     --csv rss|gap|snr                    (print a series as CSV and exit)
-//     --quiet                              (summary only, no event log)
+//     --quiet                              (summary only, no timeline)
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  spec.collect_trace = !trace_out.empty() || !report_out.empty();
+  const bool timeline = !quiet && csv.empty();
+  spec.collect_trace = timeline || !trace_out.empty() || !report_out.empty();
 
   const core::ScenarioResult result = core::run_scenario(spec);
 
@@ -184,10 +185,22 @@ int main(int argc, char** argv) {
     usage_error("unknown series '" + csv + "' (rss|gap|snr)");
   }
 
-  if (!quiet) {
-    for (const auto& e : result.log.entries()) {
-      std::cout << st::sim::to_string(e.t) << "  [" << e.component << "] "
-                << e.message << '\n';
+  if (timeline) {
+    // The protocol's own typed events; per-burst RSS samples are left to
+    // --trace-out.
+    const obs::Component protocol = ue.protocol == core::ProtocolKind::kReactive
+                                        ? obs::Component::kReactive
+                                        : obs::Component::kSilentTracker;
+    for (const obs::TraceEvent& e : result.trace->buffer(protocol).snapshot()) {
+      if (e.type == obs::TraceEventType::kRssSample) {
+        continue;
+      }
+      std::cout << st::sim::to_string(e.t) << "  " << obs::to_string(e.type)
+                << ' ' << e.label;
+      if (e.cell >= 0) {
+        std::cout << " cell=" << e.cell;
+      }
+      std::cout << '\n';
     }
     std::cout << '\n';
   }
@@ -203,8 +216,8 @@ int main(int argc, char** argv) {
             << format_double(100.0 * result.alignment_until_first_handover(),
                              1)
             << "%\n";
-  for (const auto& [name, value] : result.counters.all()) {
-    std::cout << "counter " << name << "=" << value << '\n';
+  for (const auto& [name, counter] : result.counters.counters()) {
+    std::cout << "counter " << name << "=" << counter.value() << '\n';
   }
   return 0;
 }

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
               << sim::to_string(h.interruption()) << '\n';
   }
 
+  const obs::MetricRegistry& counters = result.counters;
   std::size_t soft = result.soft_handovers();
   std::size_t ok = result.successful_handovers();
   std::cout << "\n--- closing statistics ---\n"
@@ -51,10 +52,10 @@ int main(int argc, char** argv) {
                              1)
             << "% of pre-handover tracking time\n"
             << "  beam switches       : "
-            << result.counters.value("neighbour_rx_switches") << " neighbour, "
-            << result.counters.value("serving_rx_switches") << " serving\n"
+            << counters.counter_value("neighbour_rx_switches") << " neighbour, "
+            << counters.counter_value("serving_rx_switches") << " serving\n"
             << "  BS-side switches    : "
-            << result.counters.value("bs_switches") << '\n';
+            << counters.counter_value("bs_switches") << '\n';
 
   std::cout << '\n' << core::build_run_report(spec, result).summary_text();
   return 0;

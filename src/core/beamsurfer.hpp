@@ -29,7 +29,6 @@
 #include "core/rss_tracker.hpp"
 #include "net/environment.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -91,11 +90,8 @@ class BeamSurfer {
     on_unreachable_ = std::move(cb);
   }
 
-  /// Optional experiment recorders (not owned; may be null). The legacy
-  /// EventLog view is derived from the typed trace events and stays
-  /// byte-identical to the historical strings.
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters) {
-    emit_.log = log;
+  /// Optional run counter registry (not owned; may be null).
+  void set_counters(obs::MetricRegistry* counters) {
     emit_.counters = counters;
   }
 

@@ -18,12 +18,10 @@ ReactiveHandover::ReactiveHandover(sim::Simulator& simulator,
 
 ReactiveHandover::~ReactiveHandover() { stop(); }
 
-void ReactiveHandover::set_recorders(sim::EventLog* log,
-                                     sim::CounterSet* counters) {
-  emit_.log = log;
+void ReactiveHandover::set_counters(obs::MetricRegistry* counters) {
   emit_.counters = counters;
   if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_recorders(log, counters);
+    beamsurfer_->set_counters(counters);
   }
 }
 
@@ -62,7 +60,7 @@ void ReactiveHandover::start(net::CellId serving_cell,
 
   beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
                                              serving_cell, config_.beamsurfer);
-  beamsurfer_->set_recorders(emit_.log, emit_.counters);
+  beamsurfer_->set_counters(emit_.counters);
   beamsurfer_->set_tracer(emit_.recorder);
   // A reactive mobile has no plan B: an undeliverable switch request is
   // treated the same as RLF.

@@ -22,7 +22,6 @@
 #include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -57,7 +56,9 @@ class ReactiveHandover {
     return *beamsurfer_;
   }
 
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters);
+  /// Run counter registry (not owned; may be null), shared with the
+  /// BeamSurfer instance.
+  void set_counters(obs::MetricRegistry* counters);
 
   /// Structured trace sink (not owned; may be null). Propagated to the
   /// sub-procedures so every component records into the same buffers.

@@ -85,39 +85,6 @@ std::unique_ptr<net::RadioEnvironment> make_ue_environment(
 
 namespace {
 
-/// to_spec() without the deprecation note, for the legacy entry points
-/// that forward through the conversion internally.
-ScenarioSpec spec_from_config(const ScenarioConfig& config) {
-  ScenarioSpec spec;
-  spec.n_cells = config.n_cells;
-  spec.deployment = config.deployment;
-  if (config.mobility == MobilityScenario::kRotation) {
-    // The legacy rotation rule, applied at conversion time so the spec's
-    // deployment is explicit (specs never adjust geometry per mobility).
-    spec.deployment.inter_site_m =
-        std::min(spec.deployment.inter_site_m, config.rotation_inter_site_m);
-  }
-  spec.environment = config.environment;
-  spec.duration = config.duration;
-  spec.metric_period = config.metric_period;
-  spec.collect_trace = config.collect_trace;
-  spec.trace_buffer_capacity = config.trace_buffer_capacity;
-  spec.seed = config.seed;
-
-  UeProfile& profile = spec.ues.front();
-  profile.mobility = config.mobility;
-  profile.protocol = config.protocol;
-  profile.ue_beamwidth_deg = config.ue_beamwidth_deg;
-  profile.ue_ula_codebook = config.ue_ula_codebook;
-  profile.tracker = config.tracker;
-  profile.reactive = config.reactive;
-  profile.walk_speed_mps = config.walk_speed_mps;
-  profile.rotation_rate_deg_s = config.rotation_rate_deg_s;
-  profile.vehicle_speed_mph = config.vehicle_speed_mph;
-  profile.chain_handovers = config.chain_handovers;
-  return spec;
-}
-
 /// Owns everything alive during one mobile's run; members are declared in
 /// dependency order so destruction tears protocols down before the
 /// environment. The shared deployment is only read during construction
@@ -191,7 +158,7 @@ class ScenarioRun {
       trackers_.push_back(std::make_unique<SilentTracker>(
           simulator_, *environment_, profile_.tracker));
       SilentTracker& tracker = *trackers_.back();
-      tracker.set_recorders(&result_.log, &result_.counters);
+      tracker.set_counters(&result_.counters);
       tracker.set_tracer(trace_.get());
       if (decision_ != nullptr) {
         tracker.set_decision(decision_.get());
@@ -207,7 +174,7 @@ class ScenarioRun {
       reactives_.push_back(std::make_unique<ReactiveHandover>(
           simulator_, *environment_, profile_.reactive));
       ReactiveHandover& reactive = *reactives_.back();
-      reactive.set_recorders(&result_.log, &result_.counters);
+      reactive.set_counters(&result_.counters);
       reactive.set_tracer(trace_.get());
       reactive.start(serving, rx_beam, rss_dbm,
                      [this](const net::HandoverRecord& r) {
@@ -465,12 +432,6 @@ bool ScenarioResult::all_handovers_aligned() const noexcept {
   return true;
 }
 
-std::shared_ptr<const mobility::MobilityModel> make_mobility(
-    const ScenarioConfig& config, const net::Deployment& deployment) {
-  const ScenarioSpec spec = spec_from_config(config);
-  return make_mobility(spec, spec.ues.front(), config.seed, deployment);
-}
-
 ScenarioResult run_scenario_ue(const ScenarioSpec& spec, std::size_t ue,
                                const net::Deployment& deployment) {
   return run_scenario_ue(spec, ue, deployment, nullptr);
@@ -497,14 +458,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         "run_scenario: spec holds a fleet; use fleet::run_fleet");
   }
   return run_scenario_ue(spec, 0);
-}
-
-ScenarioResult run_scenario(const ScenarioConfig& config) {
-  return run_scenario_ue(spec_from_config(config), 0);
-}
-
-ScenarioSpec to_spec(const ScenarioConfig& config) {
-  return spec_from_config(config);
 }
 
 namespace {
@@ -576,10 +529,11 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
       interruption_n > 0
           ? interruption_sum / static_cast<double>(interruption_n)
           : 0.0;
-  ho.rx_beam_switches = result.counters.value("serving_rx_switches") +
-                        result.counters.value("neighbour_rx_switches");
-  ho.tx_beam_switches = result.counters.value("bs_switches") +
-                        result.counters.value("neighbour_tx_retargets");
+  const obs::MetricRegistry& counters = result.counters;
+  ho.rx_beam_switches = counters.counter_value("serving_rx_switches") +
+                        counters.counter_value("neighbour_rx_switches");
+  ho.tx_beam_switches = counters.counter_value("bs_switches") +
+                        counters.counter_value("neighbour_tx_retargets");
   ho.alignment_fraction = result.tracking_alignment_fraction();
   ho.alignment_until_first_handover = result.alignment_until_first_handover();
   ho.ssb_observations = result.ssb_observations;
@@ -619,8 +573,8 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   report.snapshot_cache.azimuth_reuses = cache.azimuth_reuses;
   report.snapshot_cache.hit_rate = cache.hit_rate();
 
-  for (const auto& [name, value] : result.counters.all()) {
-    report.counters[name] = value;
+  for (const auto& [name, counter] : counters.counters()) {
+    report.counters[name] = counter.value();
   }
 
   if (result.trace != nullptr) {
@@ -661,11 +615,6 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   }
 
   return report;
-}
-
-obs::RunReport build_run_report(const ScenarioConfig& config,
-                                const ScenarioResult& result) {
-  return build_run_report(spec_from_config(config), result, 0);
 }
 
 }  // namespace st::core

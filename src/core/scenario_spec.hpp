@@ -1,11 +1,9 @@
-// The experiment API, redesigned for fleets.
+// The experiment API, shaped for fleets.
 //
-// The original ScenarioConfig described exactly one mobile and one
-// deployment in a single flat struct. A fleet run needs the opposite
-// factoring: one shared experiment frame (deployment, radio environment,
-// duration, metric cadence, trace options) against which N independent
-// mobiles run, each with its own mobility, codebook, protocol, and
-// derived random streams. This header provides that split:
+// A fleet run factors into one shared experiment frame (deployment,
+// radio environment, duration, metric cadence, trace options) against
+// which N independent mobiles run, each with its own mobility, codebook,
+// protocol, and derived random streams. This header provides that split:
 //
 //   * UeProfile    — everything that is per-mobile;
 //   * ScenarioSpec — the shared frame plus a vector of UeProfiles;
@@ -16,9 +14,6 @@
 //   * fleet_ue_seed() — the per-UE splitmix seed derivation that keeps a
 //                    UE's realisation identical whether it runs alone or
 //                    inside a fleet.
-//
-// The legacy ScenarioConfig (core/scenario.hpp) remains for one release
-// as a thin compatibility surface; to_spec() is the deprecated adapter.
 #pragma once
 
 #include <cstdint>
@@ -128,8 +123,8 @@ struct ScenarioSpec {
 };
 
 /// Root seed of UE `ue` in a fleet seeded with `fleet_seed`. UE 0 inherits
-/// the fleet seed unchanged — the paper's single-mobile path stays
-/// bit-identical to the legacy ScenarioConfig runs — while later UEs draw
+/// the fleet seed unchanged — a single-UE spec is seeded exactly as the
+/// paper's single-mobile runs always were — while later UEs draw
 /// decorrelated roots from a SplitMix64 stream over the fleet seed, so a
 /// UE's trajectory is the same whether it runs alone (a single-UE spec
 /// seeded with its root) or inside the fleet.
@@ -230,9 +225,8 @@ namespace preset {
 /// The E3/Fig. 2c experiment frames, one UE each: 25 s runs, two cells
 /// (three for the vehicular drive, which passes several), and — for the
 /// rotation preset — the tighter inter-site distance of the paper's
-/// ~10 m-scale 3-node testbed. A single-UE run of one of these specs is
-/// bit-identical to the legacy ScenarioConfig run it replaces (pinned by
-/// tests/core/test_scenario_spec.cpp).
+/// ~10 m-scale 3-node testbed. Their runs are pinned by the determinism
+/// and fleet suites and by the benchmark's report fingerprints.
 [[nodiscard]] ScenarioSpec paper_walk();
 [[nodiscard]] ScenarioSpec paper_rotation();
 [[nodiscard]] ScenarioSpec paper_vehicular();

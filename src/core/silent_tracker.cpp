@@ -54,12 +54,10 @@ SilentTracker::SilentTracker(sim::Simulator& simulator,
 
 SilentTracker::~SilentTracker() { stop(); }
 
-void SilentTracker::set_recorders(sim::EventLog* log,
-                                  sim::CounterSet* counters) {
-  emit_.log = log;
+void SilentTracker::set_counters(obs::MetricRegistry* counters) {
   emit_.counters = counters;
   if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_recorders(log, counters);
+    beamsurfer_->set_counters(counters);
   }
 }
 
@@ -123,7 +121,7 @@ void SilentTracker::start(net::CellId serving_cell,
 
   beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
                                              serving_cell, config_.beamsurfer);
-  beamsurfer_->set_recorders(emit_.log, emit_.counters);
+  beamsurfer_->set_counters(emit_.counters);
   beamsurfer_->set_tracer(emit_.recorder);
   beamsurfer_->set_unreachable_callback(
       [this] { on_serving_lost("bs_switch_request_undeliverable"); });

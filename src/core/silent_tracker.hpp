@@ -48,7 +48,6 @@
 #include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -138,10 +137,9 @@ class SilentTracker {
   /// moment RLF / unreachability routed the protocol towards access).
   [[nodiscard]] bool serving_alive() const noexcept { return serving_alive_; }
 
-  /// Experiment recorders (not owned; may be null). The EventLog view is
-  /// derived from the typed trace events (see obs::legacy_message) and is
-  /// byte-identical to the historical free-form strings.
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters);
+  /// Run counter registry (not owned; may be null), shared with the
+  /// BeamSurfer instance.
+  void set_counters(obs::MetricRegistry* counters);
 
   /// Structured trace sink (not owned; may be null). Propagated to the
   /// sub-procedures (BeamSurfer, search, RACH, link monitor) so every

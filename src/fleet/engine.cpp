@@ -9,43 +9,6 @@
 
 namespace st::fleet {
 
-FleetChannelBatch::FleetChannelBatch(const core::ScenarioSpec& spec)
-    : deployment_(core::make_deployment(spec)) {
-  if (spec.ues.empty()) {
-    throw std::invalid_argument(
-        "FleetChannelBatch: fleet needs at least one UE");
-  }
-  environments_.reserve(spec.ues.size());
-  for (std::size_t ue = 0; ue < spec.ues.size(); ++ue) {
-    environments_.push_back(core::make_ue_environment(spec, ue, deployment_));
-  }
-}
-
-std::size_t FleetChannelBatch::cell_count() const noexcept {
-  return environments_.front()->cell_count();
-}
-
-void FleetChannelBatch::best_pairs(sim::Time t,
-                                   std::vector<phy::Channel::BestPair>& out) {
-  const std::size_t cells = cell_count();
-  out.resize(environments_.size() * cells);
-  for (std::size_t ue = 0; ue < environments_.size(); ++ue) {
-    net::RadioEnvironment& env = *environments_[ue];
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      out[ue * cells + cell] =
-          env.ground_truth_best_pair(static_cast<net::CellId>(cell), t);
-    }
-  }
-}
-
-net::SnapshotCacheStats FleetChannelBatch::stats() const {
-  net::SnapshotCacheStats total;
-  for (const auto& env : environments_) {
-    total.merge(env->snapshot_stats());
-  }
-  return total;
-}
-
 FleetResult run_fleet(const core::ScenarioSpec& spec, unsigned n_threads) {
   return run_fleet(spec, n_threads, RunControl{});
 }

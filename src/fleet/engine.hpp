@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -74,49 +73,6 @@ struct FleetResult {
                ? static_cast<double>(ue_results.size()) / wall_seconds
                : 0.0;
   }
-};
-
-/// Batched fleet-level physics evaluation: every (UE, cell) link of a
-/// spec held hot at once, swept in one call per instant. This is the
-/// throughput fast path for workloads that only need ground-truth beam
-/// pairs over a trajectory (calibration sweeps, channel studies, the
-/// fleet bench ladder) without protocol state machines or the event
-/// engine: stepping time forward turns every per-link snapshot rebuild
-/// into an incremental refresh (phy::SnapshotReuse carries the slow
-/// shadowing/blockage processes over), and the sweep itself runs the
-/// vectorized kernels.
-///
-/// Each UE's environment is built by core::make_ue_environment, so
-/// best_pairs(t) is bit-identical to calling ground_truth_best_pair on a
-/// per-UE environment of the same spec at the same instants, and shares
-/// its determinism: results depend only on spec and t, never on call
-/// order. Not thread-safe — one FleetChannelBatch per thread.
-class FleetChannelBatch {
- public:
-  explicit FleetChannelBatch(const core::ScenarioSpec& spec);
-
-  [[nodiscard]] std::size_t ue_count() const noexcept {
-    return environments_.size();
-  }
-  [[nodiscard]] std::size_t cell_count() const noexcept;
-
-  /// Sweep every (UE, cell) link at instant `t`: `out` is resized to
-  /// ue_count() × cell_count() best pairs, row-major by UE
-  /// (out[ue * cell_count() + cell]). Monotonic or repeated `t` across
-  /// calls maximises snapshot reuse; any order stays correct.
-  void best_pairs(sim::Time t, std::vector<phy::Channel::BestPair>& out);
-
-  /// The live environment of one UE (for spot queries and tests).
-  [[nodiscard]] const net::RadioEnvironment& environment(std::size_t ue) const {
-    return *environments_.at(ue);
-  }
-
-  /// Snapshot-cache and build-reuse counters summed over all UEs.
-  [[nodiscard]] net::SnapshotCacheStats stats() const;
-
- private:
-  net::Deployment deployment_;
-  std::vector<std::unique_ptr<net::RadioEnvironment>> environments_;
 };
 
 /// Run every mobile of `spec` to completion. `n_threads == 0` uses the

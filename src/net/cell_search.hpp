@@ -81,8 +81,7 @@ class CellSearch {
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Structured trace sink (not owned; may be null). Search events are
-  /// trace-only: they never appear in the legacy EventLog view.
+  /// Structured trace sink (not owned; may be null).
   void set_tracer(obs::TraceRecorder* recorder) { emit_.recorder = recorder; }
 
  private:

@@ -60,8 +60,7 @@ class RachProcedure {
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Structured trace sink (not owned; may be null). RACH events are
-  /// trace-only: they never appear in the legacy EventLog view.
+  /// Structured trace sink (not owned; may be null).
   void set_tracer(obs::TraceRecorder* recorder) { emit_.recorder = recorder; }
 
  private:

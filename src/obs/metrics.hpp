@@ -1,13 +1,13 @@
 // Metric registry for the telemetry layer: named counters, gauges, and
 // log-linear histograms, created on first use and owned by the registry.
 //
-// Names are dotted paths grouping by subsystem ("engine.events_executed",
-// "phy.snapshot_cache.hits", "silent_tracker.rach_failures"); the
-// RunReport walks the registry and emits every metric it finds, so
+// Names are dotted paths grouping by subsystem ("engine.dispatch_us",
+// "phy.snapshot_cache.hit_rate"), except the protocol event counters of
+// a run ("bs_switches", "rach_failures"), which keep their flat names;
+// the RunReport walks the registry and emits every metric it finds, so
 // instrumented code never has to register anything up front.
 //
-// Unlike sim::CounterSet (a plain experiment recorder merged across
-// repetitions), the registry also holds histograms — the p50/p95/p99
+// Besides counters the registry holds histograms — the p50/p95/p99
 // material of the run report — and hands out stable references so hot
 // paths can cache `registry.counter("x")` once and skip the name lookup.
 #pragma once

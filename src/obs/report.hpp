@@ -132,7 +132,7 @@ struct RunReport {
   EngineReport engine;
   SnapshotCacheReport snapshot_cache;
 
-  /// Legacy experiment counters (protocol event counts).
+  /// Protocol event counters (ScenarioResult::counters).
   std::map<std::string, std::uint64_t> counters;
   /// Registry gauges at end of run.
   std::map<std::string, double> gauges;

@@ -53,46 +53,33 @@ void TelemetryBus::unsubscribe(SubscriberId id) {
 
 std::uint64_t TelemetryBus::publish(TelemetryKind kind, std::uint64_t t_ns,
                                     const json::Value& payload) {
-  // Snapshot the matching subscribers under the bus lock, then deliver
-  // under each subscriber's own lock so a slow queue never serialises the
-  // others.
-  std::vector<std::shared_ptr<Subscriber>> targets;
-  std::uint64_t seq = 0;
-  {
-    const MutexLock lock(mutex_);
-    if (closed_) {
-      return next_seq_;
-    }
-    seq = next_seq_++;
-    targets.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) {
-      if (sub->filter.wants(kind)) {
-        targets.push_back(sub);
-      }
-    }
+  // Seq assignment and delivery share one bus critical section, so every
+  // subscriber receives frames in seq order even under concurrent
+  // publishers. Each delivery is an O(1) drop-oldest push under the
+  // subscriber's own lock (order bus -> subscriber); pop() waits holding
+  // only the subscriber lock, so a slow consumer never stalls the bus.
+  const MutexLock lock(mutex_);
+  if (closed_) {
+    return next_seq_;
   }
-  std::uint64_t newly_dropped = 0;
-  for (const auto& sub : targets) {
-    const MutexLock sub_lock(sub->mutex);
-    if (sub->closed) {
+  const std::uint64_t seq = next_seq_++;
+  for (const auto& entry : subscribers_) {
+    Subscriber& sub = *entry.second;
+    if (!sub.filter.wants(kind)) {
       continue;
     }
-    while (sub->queue.size() >= sub->capacity) {
-      sub->queue.pop_front();
-      ++sub->dropped_unreported;
-      ++newly_dropped;
+    const MutexLock sub_lock(sub.mutex);
+    if (sub.closed) {
+      continue;
     }
-    TelemetryFrame frame;
-    frame.seq = seq;
-    frame.t_ns = t_ns;
-    frame.kind = kind;
-    frame.payload = payload;
-    sub->queue.push_back(std::move(frame));
-    sub->cv.notify_all();
-  }
-  if (newly_dropped > 0) {
-    const MutexLock lock(mutex_);
-    total_dropped_ += newly_dropped;
+    if (sub.queue.size() >= sub.capacity) {
+      sub.queue.pop_front();
+      ++sub.dropped_unreported;
+      ++total_dropped_;
+    }
+    sub.queue.push_back(TelemetryFrame{
+        .seq = seq, .t_ns = t_ns, .kind = kind, .payload = payload});
+    sub.cv.notify_all();
   }
   return seq;
 }

@@ -11,9 +11,10 @@
 // and the seq-cursor poll path can backfill the gap).
 //
 // Thread model: publish() may be called from any thread (the daemon calls
-// it under its state mutex); pop() blocks on a per-subscriber condition
-// variable, so slow consumers contend only on their own queue, not on the
-// bus or on each other. close() wakes every blocked pop for shutdown.
+// it under its state mutex) and delivers in seq order to every subscriber;
+// pop() blocks on a per-subscriber condition variable, so slow consumers
+// contend only on their own queue, not on the bus or on each other.
+// close() wakes every blocked pop for shutdown.
 #pragma once
 
 #include <chrono>
@@ -84,8 +85,10 @@ class TelemetryBus {
       ST_EXCLUDES(mutex_);
   void unsubscribe(SubscriberId id) ST_EXCLUDES(mutex_);
 
-  /// Assigns the global seq and fans out to every matching subscriber.
-  /// Returns the assigned seq. The payload is copied per subscriber.
+  /// Assigns the global seq and fans out to every matching subscriber in
+  /// one bus critical section, so concurrent publishers can never deliver
+  /// out of seq order. Returns the assigned seq. The payload is copied
+  /// per subscriber.
   std::uint64_t publish(TelemetryKind kind, std::uint64_t t_ns,
                         const json::Value& payload) ST_EXCLUDES(mutex_);
 

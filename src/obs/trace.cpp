@@ -1,6 +1,6 @@
 #include "obs/trace.hpp"
 
-#include "common/logging.hpp"
+#include <algorithm>
 
 namespace st::obs {
 
@@ -72,95 +72,6 @@ std::string_view to_string(TraceEventType type) noexcept {
   return "?";
 }
 
-std::optional<std::string> legacy_message(Component component,
-                                          const TraceEvent& event) {
-  // Every string built here must be byte-identical to the one the
-  // pre-trace call site logged: tests assert on these via EventLog
-  // prefixes, and examples print them as the run's narrative. Doubles go
-  // through log_message (ostringstream default formatting) exactly as the
-  // originals did.
-  switch (event.type) {
-    case TraceEventType::kStateTransition:
-      if (event.label == "Accessing" && event.cell >= 0) {
-        return log_message("STATE Accessing cell=", event.cell,
-                           " tx=", event.beam_a, " rx=", event.beam_b);
-      }
-      return log_message("STATE ", event.label);
-
-    case TraceEventType::kCellFound:
-      return log_message("FOUND cell=", event.cell, " tx=", event.beam_a,
-                         " rx=", event.beam_b, " rss=", event.value,
-                         " latency_ms=", event.value2);
-
-    case TraceEventType::kRxBeamSwitch:
-      if (component == Component::kBeamSurfer) {
-        return log_message("RX_SWITCH beam ", event.beam_a, " -> ",
-                           event.beam_b, " rss=", event.value);
-      }
-      return log_message("NEIGHBOUR_RX_SWITCH ", event.beam_a, " -> ",
-                         event.beam_b, " rss=", event.value);
-
-    case TraceEventType::kTxBeamSwitch:
-      if (component == Component::kBeamSurfer) {
-        return log_message("TX_SWITCH serving tx -> ", event.beam_b);
-      }
-      return log_message("TX_RETARGET ", event.beam_a, " -> ", event.beam_b);
-
-    case TraceEventType::kRssDrop:
-      if (component == Component::kBeamSurfer) {
-        return log_message("DROP serving rss=", event.value,
-                           " ref=", event.value2);
-      }
-      return log_message("NEIGHBOUR_DROP rss=", event.value,
-                         " ref=", event.value2);
-
-    case TraceEventType::kRecoverySweep:
-      return std::string("NEIGHBOUR_RECOVERY_SWEEP");
-
-    case TraceEventType::kNeighbourAbandoned:
-      return log_message("NEIGHBOUR_ABANDONED cell=", event.cell,
-                         " quiet_ms=", event.value);
-
-    case TraceEventType::kServingLost:
-      if (event.label.empty()) {
-        return std::string("SERVING_LOST");
-      }
-      return log_message("SERVING_LOST reason=", event.label);
-
-    case TraceEventType::kServingUnreachable:
-      return std::string("SERVING_UNREACHABLE");
-
-    case TraceEventType::kRachOutcome:
-      // Only SilentTracker narrated RACH, and only its failure.
-      if (component == Component::kSilentTracker && !event.flag) {
-        return std::string("RACH_FAILED");
-      }
-      return std::nullopt;
-
-    case TraceEventType::kHandoverComplete:
-      if (component == Component::kReactive) {
-        return log_message(event.flag ? "HO_COMPLETE" : "HO_FAILED",
-                           " interruption_ms=", event.value);
-      }
-      return log_message(event.flag ? "HO_COMPLETE" : "HO_FAILED",
-                         " cell=", event.cell, " rx=", event.beam_b,
-                         " interruption_ms=", event.value);
-
-    // Trace-only types: these subsystems never logged strings, so adding
-    // typed events for them must not change the EventLog view.
-    case TraceEventType::kRssSample:
-    case TraceEventType::kSearchStart:
-    case TraceEventType::kSearchDwell:
-    case TraceEventType::kSearchOutcome:
-    case TraceEventType::kRachStart:
-    case TraceEventType::kRachAttempt:
-    case TraceEventType::kLinkBelowThreshold:
-    case TraceEventType::kRadioLinkFailure:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 TraceBuffer::TraceBuffer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
@@ -202,29 +113,6 @@ std::uint64_t TraceRecorder::total_dropped() const noexcept {
     n += b.dropped();
   }
   return n;
-}
-
-void Emitter::emit(const TraceEvent& event) const {
-  if (recorder != nullptr) {
-    recorder->record(component, event);
-  }
-  if (log != nullptr) {
-    if (auto message = legacy_message(component, event)) {
-      log->record(event.t, to_string(component), *message);
-    }
-  }
-}
-
-void Emitter::count(std::string_view name, std::uint64_t by) const {
-  if (counters != nullptr) {
-    counters->increment(name, by);
-  }
-  if (recorder != nullptr) {
-    std::string qualified(to_string(component));
-    qualified += '.';
-    qualified += name;
-    recorder->metrics().counter(qualified).increment(by);
-  }
 }
 
 }  // namespace st::obs

@@ -1,37 +1,30 @@
 // Structured trace layer: typed protocol events in bounded per-component
 // ring buffers, with nanosecond sim timestamps.
 //
-// The protocols used to narrate themselves as free-form strings into
-// sim::EventLog ("RX_SWITCH beam 3 -> 4 rss=-71.2"), which exporters and
-// reports would have had to re-parse. A TraceEvent instead carries the
-// *fields* (type, cell, beams, values); the exact legacy strings are
-// derived from them by legacy_message(), so the EventLog view — which
-// tests and examples assert on — is byte-identical to what the call
-// sites used to produce, while trace.json / JSONL / RunReport consume
-// the typed form directly.
+// A TraceEvent carries the *fields* of one protocol step (type, cell,
+// beams, values); trace.json / JSONL / RunReport consume that typed form
+// directly, and tests query it by component and type.
 //
 // Recording is wired through an Emitter per protocol instance: a small
-// value object holding the component tag plus three optional sinks
-// (TraceRecorder for typed events and metrics, EventLog + CounterSet for
-// the legacy view). With all sinks null — the default — emit() is a few
-// pointer tests and events are composed but discarded, which is what
-// keeps the disabled-by-default telemetry off the bench fast path.
+// value object holding the component tag plus two optional sinks — the
+// TraceRecorder for typed events (set only when a run collects its
+// trace) and the run's counter registry. With the recorder null — the
+// default — emit() is one pointer test and the composed event is
+// discarded, which keeps the disabled-by-default telemetry off the
+// bench fast path.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace st::obs {
 
 /// Who recorded an event; doubles as the track index in the Perfetto
-/// export and the tag of the legacy EventLog view.
+/// export.
 enum class Component : std::uint8_t {
   kSilentTracker = 0,
   kBeamSurfer,
@@ -46,7 +39,7 @@ enum class Component : std::uint8_t {
 
 inline constexpr std::size_t kComponentCount = 9;
 
-/// Legacy-compatible tag: "silent_tracker", "beamsurfer", "reactive", ...
+/// Export tag: "silent_tracker", "beamsurfer", "reactive", ...
 [[nodiscard]] std::string_view to_string(Component c) noexcept;
 
 [[nodiscard]] constexpr std::size_t component_index(Component c) noexcept {
@@ -92,13 +85,6 @@ struct TraceEvent {
   bool flag = false;
   std::string_view label{};
 };
-
-/// Render the exact string the pre-trace call site logged for this event,
-/// or nullopt for trace-only event types that never had a legacy line.
-/// Component matters: the same kRssDrop renders "DROP serving ..." for
-/// BeamSurfer but "NEIGHBOUR_DROP ..." for SilentTracker.
-[[nodiscard]] std::optional<std::string> legacy_message(Component component,
-                                                        const TraceEvent& event);
 
 /// Bounded ring of TraceEvents; when full, the oldest events are dropped
 /// (and counted), so a runaway scenario can never grow memory unboundedly.
@@ -157,25 +143,27 @@ class TraceRecorder {
   MetricRegistry metrics_;
 };
 
-/// Per-protocol fan-out point: typed events to the TraceRecorder, the
-/// derived legacy strings to the EventLog, counters to both sinks. All
-/// sinks optional and non-owned.
+/// Per-protocol fan-out point: typed events to the TraceRecorder,
+/// counters to the run's registry. Both sinks optional and non-owned.
 struct Emitter {
   Component component = Component::kScenario;
   TraceRecorder* recorder = nullptr;
-  sim::EventLog* log = nullptr;
-  sim::CounterSet* counters = nullptr;
+  MetricRegistry* counters = nullptr;
 
   [[nodiscard]] bool tracing() const noexcept { return recorder != nullptr; }
-  [[nodiscard]] bool active() const noexcept {
-    return recorder != nullptr || log != nullptr;
+
+  void emit(const TraceEvent& event) const {
+    if (recorder != nullptr) {
+      recorder->record(component, event);
+    }
   }
 
-  void emit(const TraceEvent& event) const;
-
-  /// Bump the legacy counter `name` and the registry counter
-  /// "<component>.<name>".
-  void count(std::string_view name, std::uint64_t by = 1) const;
+  /// Bump the run counter `name` (unqualified: "bs_switches").
+  void count(std::string_view name, std::uint64_t by = 1) const {
+    if (counters != nullptr) {
+      counters->counter(name).increment(by);
+    }
+  }
 };
 
 }  // namespace st::obs

@@ -1,6 +1,7 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace st::sim {
 
@@ -65,46 +66,6 @@ std::string TimeSeries::csv() const {
     out += buf;
   }
   return out;
-}
-
-void CounterSet::increment(std::string_view name, std::uint64_t by) {
-  const auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), by);
-  } else {
-    it->second += by;
-  }
-}
-
-std::uint64_t CounterSet::value(std::string_view name) const noexcept {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void EventLog::record(Time t, std::string_view component,
-                      std::string_view message) {
-  entries_.push_back({t, std::string(component), std::string(message)});
-}
-
-std::vector<EventLog::Entry> EventLog::with_prefix(
-    std::string_view prefix) const {
-  std::vector<Entry> out;
-  for (const Entry& e : entries_) {
-    if (e.message.starts_with(prefix)) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
-bool EventLog::first_time_of(std::string_view prefix, Time& out) const {
-  for (const Entry& e : entries_) {
-    if (e.message.starts_with(prefix)) {
-      out = e.t;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace st::sim

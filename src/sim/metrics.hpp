@@ -6,11 +6,8 @@
 // can copy/merge them across repetitions.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -55,47 +52,6 @@ class TimeSeries {
 
  private:
   std::vector<Point> points_;
-};
-
-/// Named monotonically increasing counters ("beam_switches", "rach_attempts").
-class CounterSet {
- public:
-  void increment(std::string_view name, std::uint64_t by = 1);
-  [[nodiscard]] std::uint64_t value(std::string_view name) const noexcept;
-  [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>& all()
-      const noexcept {
-    return counters_;
-  }
-
- private:
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
-};
-
-/// Timestamped narrative events ("HO_COMPLETE cell=B beam=7"); examples
-/// print these as the run's story, tests assert on their order.
-class EventLog {
- public:
-  struct Entry {
-    Time t;
-    std::string component;
-    std::string message;
-  };
-
-  void record(Time t, std::string_view component, std::string_view message);
-
-  [[nodiscard]] std::span<const Entry> entries() const noexcept {
-    return entries_;
-  }
-
-  /// All entries whose message starts with `prefix`, in time order.
-  [[nodiscard]] std::vector<Entry> with_prefix(std::string_view prefix) const;
-
-  /// Time of the first entry whose message starts with `prefix`;
-  /// returns false if none.
-  [[nodiscard]] bool first_time_of(std::string_view prefix, Time& out) const;
-
- private:
-  std::vector<Entry> entries_;
 };
 
 }  // namespace st::sim

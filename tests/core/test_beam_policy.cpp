@@ -8,33 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "core/scenario_spec.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
-
-std::string fingerprint(const ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 BeamProbeContext context(const phy::Codebook& codebook, phy::BeamId current,
                          int trend, bool lost = false) {
@@ -195,6 +179,7 @@ TEST(BeamPolicyScenario, ExplicitSilentTrackerMatchesDefaultBitForBit) {
   // and all.
   ScenarioSpec base = preset::paper_walk();
   base.duration = 6'000_ms;
+  base.collect_trace = true;
 
   ScenarioSpec with_policy = base;
   for (UeProfile& ue : with_policy.ues) {
@@ -244,7 +229,7 @@ TEST(BeamPolicyScenario, HierarchicalFillsRefineRounds) {
     ue.beam_policy.kind = BeamPolicyKind::kHierarchical;
   }
   const ScenarioResult result = run_scenario(spec);
-  EXPECT_GT(result.counters.value("probe_refine_rounds"), 0U);
+  EXPECT_GT(result.counters.counter_value("probe_refine_rounds"), 0U);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "common/contracts.hpp"
 #include "core/invariants.hpp"
 #include "core/scenario.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
@@ -234,7 +235,8 @@ TEST(CheckedRuns, EnforcementDoesNotChangeResults) {
     EXPECT_EQ(a.target_tx_beam, b.target_tx_beam);
   }
   EXPECT_EQ(enforced.ssb_observations, unenforced.ssb_observations);
-  EXPECT_EQ(enforced.log.entries().size(), unenforced.log.entries().size());
+  EXPECT_EQ(test::counter_map(enforced.counters),
+            test::counter_map(unenforced.counters));
 }
 
 TEST(ValueInvariants, DecisionMustTargetANeighborListMember) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario_spec.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
+using test::counter_map;
 
 ScenarioSpec quick_spec() {
   return SpecBuilder(preset::paper_walk()).duration(10'000_ms).seed(7).build();
@@ -38,7 +40,7 @@ TEST(Scenario, MobilityFactoryMatchesScenario) {
 TEST(Scenario, RunProducesMetrics) {
   const ScenarioResult r = run_scenario(quick_spec());
   EXPECT_FALSE(r.serving_snr_db.empty());
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.counters().empty());
   // Tracking metrics appear once a neighbour was found.
   EXPECT_FALSE(r.alignment_gap_db.empty());
   EXPECT_EQ(r.alignment_gap_db.size(), r.neighbour_tracked_rss_dbm.size());
@@ -64,8 +66,8 @@ TEST(Scenario, DeterministicForSameSeed) {
     EXPECT_EQ(a.handovers[i].completed.ns(), b.handovers[i].completed.ns());
     EXPECT_EQ(a.handovers[i].final_rx_beam, b.handovers[i].final_rx_beam);
   }
-  ASSERT_EQ(a.log.entries().size(), b.log.entries().size());
-  EXPECT_EQ(a.counters.all(), b.counters.all());
+  EXPECT_EQ(counter_map(a.counters), counter_map(b.counters));
+  EXPECT_EQ(a.engine.events_executed, b.engine.events_executed);
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
@@ -77,8 +79,8 @@ TEST(Scenario, DifferentSeedsDiffer) {
       a.handovers.size() == b.handovers.size() &&
       (a.handovers.empty() ||
        a.handovers[0].completed.ns() == b.handovers[0].completed.ns());
-  const bool same_logs = a.log.entries().size() == b.log.entries().size();
-  EXPECT_FALSE(same_handovers && same_logs);
+  const bool same_counters = counter_map(a.counters) == counter_map(b.counters);
+  EXPECT_FALSE(same_handovers && same_counters);
 }
 
 TEST(Scenario, ReactiveProtocolRuns) {
@@ -151,7 +153,7 @@ TEST(Scenario, UlaCodebookFlagChangesCodebook) {
   const ScenarioSpec spec =
       SpecBuilder().duration(10'000_ms).seed(7).ue(profile).build();
   const ScenarioResult r = run_scenario(spec);
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.counters().empty());
 }
 
 TEST(Scenario, AlignmentUntilFirstHandoverStopsAtCompletion) {
@@ -186,15 +188,16 @@ TEST(Scenario, RotationDeploymentScaleChangesRealisation) {
   // The rotation preset encodes its tighter geometry explicitly in the
   // spec's deployment; a different inter-site distance must change the
   // realisation.
-  const ScenarioSpec a =
-      SpecBuilder(preset::paper_rotation()).duration(10'000_ms).seed(7).build();
+  const ScenarioSpec a = SpecBuilder(preset::paper_rotation())
+                             .duration(10'000_ms)
+                             .seed(7)
+                             .collect_trace()
+                             .build();
   net::DeploymentConfig tighter = a.deployment;
   tighter.inter_site_m = 30.0;
   const ScenarioSpec b = SpecBuilder(a).deployment(tighter).build();
-  const ScenarioResult ra = run_scenario(a);
-  const ScenarioResult rb = run_scenario(b);
-  EXPECT_NE(ra.log.entries().size() + ra.counters.all().size() * 1000,
-            rb.log.entries().size() + rb.counters.all().size() * 1000);
+  EXPECT_NE(test::fingerprint(run_scenario(a)),
+            test::fingerprint(run_scenario(b)));
 }
 
 TEST(Scenario, OmniConfigurationRuns) {
@@ -203,7 +206,7 @@ TEST(Scenario, OmniConfigurationRuns) {
   const ScenarioSpec spec =
       SpecBuilder().duration(10'000_ms).seed(7).ue(profile).build();
   const ScenarioResult r = run_scenario(spec);
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.counters().empty());
 }
 
 TEST(Scenario, VehicularThreeCellsChainsHandovers) {
@@ -270,25 +273,25 @@ TEST(Scenario, TraceBufferCapacityIsRespected) {
 
 TEST(Scenario, TracingDoesNotPerturbTheRun) {
   // The observability layer must be read-only with respect to protocol
-  // behaviour: same seed with and without tracing gives byte-identical
-  // logs, counters, and handover outcomes.
+  // behaviour: same seed with and without tracing gives identical
+  // counters, handover outcomes, series and event counts.
   const ScenarioResult a = run_scenario(quick_spec());
   const ScenarioResult b =
       run_scenario(SpecBuilder(quick_spec()).collect_trace().build());
 
-  EXPECT_EQ(a.counters.all(), b.counters.all());
+  EXPECT_EQ(counter_map(a.counters), counter_map(b.counters));
   ASSERT_EQ(a.handovers.size(), b.handovers.size());
   for (std::size_t i = 0; i < a.handovers.size(); ++i) {
     EXPECT_EQ(a.handovers[i].completed.ns(), b.handovers[i].completed.ns());
     EXPECT_EQ(a.handovers[i].to, b.handovers[i].to);
     EXPECT_EQ(a.handovers[i].final_rx_beam, b.handovers[i].final_rx_beam);
   }
-  ASSERT_EQ(a.log.entries().size(), b.log.entries().size());
-  for (std::size_t i = 0; i < a.log.entries().size(); ++i) {
-    EXPECT_EQ(a.log.entries()[i].t, b.log.entries()[i].t);
-    EXPECT_EQ(a.log.entries()[i].component, b.log.entries()[i].component);
-    EXPECT_EQ(a.log.entries()[i].message, b.log.entries()[i].message);
-  }
+  EXPECT_EQ(a.neighbour_tracked_rss_dbm.csv(),
+            b.neighbour_tracked_rss_dbm.csv());
+  EXPECT_EQ(a.neighbour_best_rss_dbm.csv(), b.neighbour_best_rss_dbm.csv());
+  EXPECT_EQ(a.alignment_gap_db.csv(), b.alignment_gap_db.csv());
+  EXPECT_EQ(a.serving_snr_db.csv(), b.serving_snr_db.csv());
+  EXPECT_EQ(a.engine.events_executed, b.engine.events_executed);
 }
 
 TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
@@ -308,7 +311,7 @@ TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
   EXPECT_EQ(report.snapshot_cache.hits, r.snapshot_cache.hits);
   EXPECT_DOUBLE_EQ(report.snapshot_cache.hit_rate,
                    r.snapshot_cache.hit_rate());
-  EXPECT_EQ(report.counters.size(), r.counters.all().size());
+  EXPECT_EQ(report.counters, counter_map(r.counters));
   EXPECT_EQ(report.trace_events, r.trace->total_events());
   // The engine dispatch digest always exists when tracing was on.
   EXPECT_GT(report.latencies.count("engine.dispatch_us"), 0u);

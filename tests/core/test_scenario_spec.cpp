@@ -1,46 +1,27 @@
-// The redesigned experiment API: UeProfile + ScenarioSpec + SpecBuilder +
-// presets + fleet_ue_seed. The contracts pinned here are the ones the
-// fleet engine rides on: preset N=1 runs are bit-identical to the legacy
-// ScenarioConfig runs they replace, a UE's realisation is the same alone
-// or inside a fleet, and the deprecated adapter reproduces the legacy
-// semantics (including the rotation deployment rule) exactly.
+// The experiment API: UeProfile + ScenarioSpec + SpecBuilder + presets +
+// fleet_ue_seed. The contract pinned here is the one the fleet engine
+// rides on: a UE's realisation is the same alone or inside a fleet.
 #include "core/scenario_spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/scenario.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
-
-std::string fingerprint(const ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 // ---- fleet_ue_seed --------------------------------------------------------
 
 TEST(FleetUeSeed, UeZeroInheritsTheFleetSeed) {
-  // The single-mobile path must stay bit-identical to the legacy runs, so
-  // UE 0 must see exactly the fleet seed, not a derived one.
+  // A single-UE spec must run from its own seed, so UE 0 sees exactly the
+  // fleet seed, not a derived one.
   EXPECT_EQ(fleet_ue_seed(1, 0), 1u);
   EXPECT_EQ(fleet_ue_seed(1000, 0), 1000u);
   EXPECT_EQ(fleet_ue_seed(0xDEADBEEF, 0), 0xDEADBEEFu);
@@ -64,30 +45,7 @@ TEST(FleetUeSeed, DerivationIsAPureFunction) {
   }
 }
 
-// ---- presets reproduce the legacy single-UE runs --------------------------
-
-class PresetEquivalence : public ::testing::TestWithParam<MobilityScenario> {};
-
-TEST_P(PresetEquivalence, SingleUePresetMatchesLegacyConfigBitForBit) {
-  const MobilityScenario mobility = GetParam();
-
-  ScenarioConfig legacy;
-  legacy.mobility = mobility;
-  legacy.n_cells = mobility == MobilityScenario::kVehicular ? 3U : 2U;
-  legacy.duration = 8'000_ms;
-  legacy.seed = 1000;
-
-  const ScenarioSpec spec =
-      SpecBuilder(preset::paper(mobility)).duration(8'000_ms).seed(1000).build();
-  ASSERT_EQ(spec.ue_count(), 1u);
-
-  EXPECT_EQ(fingerprint(run_scenario(legacy)), fingerprint(run_scenario(spec)));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllScenarios, PresetEquivalence,
-                         ::testing::Values(MobilityScenario::kHumanWalk,
-                                           MobilityScenario::kRotation,
-                                           MobilityScenario::kVehicular));
+// ---- presets ---------------------------------------------------------------
 
 TEST(Presets, PaperFramesMatchTheEvaluationSetups) {
   const ScenarioSpec walk = preset::paper_walk();
@@ -120,6 +78,7 @@ TEST(ScenarioSpecFleet, UeRealisationIsIdenticalAloneAndInAFleet) {
                            .seed(424242)
                            .ue(preset::walking_ue())
                            .ue(preset::rotating_ue())
+                           .collect_trace()
                            .build();
   ASSERT_EQ(fleet.ue_count(), 3u);
 
@@ -170,43 +129,6 @@ TEST(SpecBuilder, UesAppendsSharedProfiles) {
     EXPECT_EQ(ue.mobility, MobilityScenario::kHumanWalk);
   }
 }
-
-// ---- deprecated adapter ---------------------------------------------------
-// The single place deprecated to_spec() is still exercised: one
-// adapter-equivalence test pinning that the conversion reproduces the
-// legacy semantics (field carry-over, run fingerprint, rotation rule).
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ScenarioConfigAdapter, ToSpecReproducesLegacySemantics) {
-  ScenarioConfig config;
-  config.mobility = MobilityScenario::kHumanWalk;
-  config.duration = 6'000_ms;
-  config.seed = 99;
-  config.ue_beamwidth_deg = 60.0;
-  const ScenarioSpec spec = to_spec(config);
-  ASSERT_EQ(spec.ue_count(), 1u);
-  EXPECT_EQ(spec.seed, 99u);
-  EXPECT_DOUBLE_EQ(spec.ues.front().ue_beamwidth_deg, 60.0);
-  EXPECT_EQ(fingerprint(run_scenario(config)), fingerprint(run_scenario(spec)));
-
-  // Legacy rotation semantics: the rotation scenario ran at
-  // min(inter_site_m, rotation_inter_site_m). The adapter folds that rule
-  // into the spec's deployment, where it is now explicit.
-  ScenarioConfig rotation;
-  rotation.mobility = MobilityScenario::kRotation;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m, 40.0);
-
-  rotation.rotation_inter_site_m = 30.0;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m, 30.0);
-
-  rotation.mobility = MobilityScenario::kHumanWalk;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m,
-                   rotation.deployment.inter_site_m);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace st::core

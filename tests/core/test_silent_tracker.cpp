@@ -7,6 +7,7 @@
 #include "mobility/walk.hpp"
 #include "net/test_helpers.hpp"
 #include "sim/simulator.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
@@ -38,15 +39,14 @@ struct TrackerWorld {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
     tracker = std::make_unique<SilentTracker>(sim, env, config);
-    tracker->set_recorders(&log, &counters);
+    tracker->set_tracer(&trace);
     tracker->start(0, best.rx_beam, best.rx_power_dbm,
                    [this](const net::HandoverRecord& r) { record = r; });
   }
 
   sim::Simulator sim;
   net::RadioEnvironment env;
-  sim::EventLog log;
-  sim::CounterSet counters;
+  obs::TraceRecorder trace;
   std::unique_ptr<SilentTracker> tracker;
   std::optional<net::HandoverRecord> record;
 };
@@ -70,17 +70,22 @@ TEST(SilentTracker, EventOrderIsSearchFoundTrackAccessComplete) {
   world.sim.run_until(Time::zero() + 60'000_ms);
   ASSERT_TRUE(world.record.has_value());
 
-  Time t_found{};
-  Time t_lost{};
-  Time t_access{};
-  Time t_complete{};
-  ASSERT_TRUE(world.log.first_time_of("FOUND", t_found));
-  ASSERT_TRUE(world.log.first_time_of("SERVING_LOST", t_lost));
-  ASSERT_TRUE(world.log.first_time_of("STATE Accessing", t_access));
-  ASSERT_TRUE(world.log.first_time_of("HO_COMPLETE", t_complete));
-  EXPECT_LT(t_found, t_lost);   // neighbour discovered BEFORE serving died
-  EXPECT_LE(t_lost, t_access);
-  EXPECT_LT(t_access, t_complete);
+  using Type = obs::TraceEventType;
+  constexpr obs::Component kTracker = obs::Component::kSilentTracker;
+  const auto t_found = test::first_time_of(world.trace, kTracker,
+                                           Type::kCellFound);
+  const auto t_lost = test::first_time_of(world.trace, kTracker,
+                                          Type::kServingLost);
+  const auto t_access = test::first_time_of(
+      world.trace, kTracker, Type::kStateTransition,
+      [](const obs::TraceEvent& e) { return e.label == "Accessing"; });
+  const auto t_complete = test::first_time_of(
+      world.trace, kTracker, Type::kHandoverComplete,
+      [](const obs::TraceEvent& e) { return e.flag; });
+  ASSERT_TRUE(t_found && t_lost && t_access && t_complete);
+  EXPECT_LT(*t_found, *t_lost);  // neighbour discovered BEFORE serving died
+  EXPECT_LE(*t_lost, *t_access);
+  EXPECT_LT(*t_access, *t_complete);
 }
 
 TEST(SilentTracker, SoftHandoverInterruptionIsShort) {

@@ -8,34 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/scenario.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::fleet {
 namespace {
 
 using namespace st::sim::literals;
-
-std::string fingerprint(const core::ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 /// A heterogeneous fleet on the three-cell row (walk / rotation /
 /// vehicular profiles cycling), short enough for the test budget.
@@ -54,7 +37,8 @@ core::ScenarioSpec fleet_spec(std::size_t n_ues, sim::Duration duration) {
 TEST(FleetEngine, SerialAndParallelSchedulesAreBitIdentical) {
   // The acceptance bar: a 64-UE fleet, serial vs a real pool, every UE's
   // realisation compared bit for bit.
-  const core::ScenarioSpec spec = fleet_spec(64, 1'000_ms);
+  core::ScenarioSpec spec = fleet_spec(64, 1'000_ms);
+  spec.collect_trace = true;
   const FleetResult serial = run_fleet(spec, 1);
   const FleetResult parallel = run_fleet(spec, 4);
 
@@ -86,6 +70,7 @@ TEST(FleetEngine, GridFleetWithPolicyIsBitIdenticalToo) {
   spec.duration = 1'000_ms;
   spec.seed = 1000;
   spec.ues.assign(64, spec.ues.front());
+  spec.collect_trace = true;
   spec = core::SpecBuilder(std::move(spec)).build();
   const FleetResult serial = run_fleet(spec, 1);
   const FleetResult parallel = run_fleet(spec, 4);
@@ -149,6 +134,7 @@ TEST(FleetEngine, SingleUeFleetMatchesRunScenario) {
   core::ScenarioSpec spec = core::preset::paper_walk();
   spec.duration = 2'000_ms;
   spec.seed = 1000;
+  spec.collect_trace = true;
   const FleetResult fleet = run_fleet(spec);
   ASSERT_EQ(fleet.ue_count(), 1u);
   EXPECT_EQ(fingerprint(fleet.ue_results.front()),
@@ -272,71 +258,6 @@ TEST(FleetReport, PerCellBlockCarriesLoadAndHandoverFlows) {
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"per_cell\""), std::string::npos);
   EXPECT_NE(json.find("\"ping_pong_rate\""), std::string::npos);
-}
-
-TEST(FleetChannelBatch, BestPairsMatchPerUeGroundTruth) {
-  // The batched fast path must agree bit-for-bit with per-UE environments
-  // built from the same spec and queried at the same instants.
-  const core::ScenarioSpec spec = fleet_spec(4, 2'000_ms);
-  FleetChannelBatch batch(spec);
-  ASSERT_EQ(batch.ue_count(), 4u);
-  ASSERT_EQ(batch.cell_count(), 3u);
-
-  const net::Deployment deployment = core::make_deployment(spec);
-  std::vector<std::unique_ptr<net::RadioEnvironment>> reference;
-  for (std::size_t ue = 0; ue < spec.ues.size(); ++ue) {
-    reference.push_back(core::make_ue_environment(spec, ue, deployment));
-  }
-
-  std::vector<phy::Channel::BestPair> pairs;
-  for (int step = 0; step < 20; ++step) {
-    const sim::Time t =
-        sim::Time::zero() + sim::Duration::milliseconds(step * 10);
-    batch.best_pairs(t, pairs);
-    ASSERT_EQ(pairs.size(), batch.ue_count() * batch.cell_count());
-    for (std::size_t ue = 0; ue < batch.ue_count(); ++ue) {
-      for (std::size_t cell = 0; cell < batch.cell_count(); ++cell) {
-        const phy::Channel::BestPair want =
-            reference[ue]->ground_truth_best_pair(
-                static_cast<net::CellId>(cell), t);
-        const phy::Channel::BestPair& got =
-            pairs[ue * batch.cell_count() + cell];
-        ASSERT_EQ(got.tx_beam, want.tx_beam)
-            << "ue " << ue << " cell " << cell << " step " << step;
-        ASSERT_EQ(got.rx_beam, want.rx_beam);
-        ASSERT_EQ(got.rx_power_dbm, want.rx_power_dbm);
-      }
-    }
-  }
-}
-
-TEST(FleetChannelBatch, SteppedTrajectoryKeepsTheCacheWarm) {
-  // The throughput claim's precondition: stepping a fleet through time
-  // turns nearly every query into a hit or an incremental refresh. Only
-  // the very first instant builds cold.
-  const core::ScenarioSpec spec = fleet_spec(8, 10'000_ms);
-  FleetChannelBatch batch(spec);
-  std::vector<phy::Channel::BestPair> pairs;
-  const int steps = 200;
-  for (int step = 0; step < steps; ++step) {
-    batch.best_pairs(
-        sim::Time::zero() + sim::Duration::milliseconds(step * 10), pairs);
-  }
-  const net::SnapshotCacheStats stats = batch.stats();
-  EXPECT_EQ(stats.cold_misses, batch.ue_count() * batch.cell_count());
-  EXPECT_EQ(stats.invalidations, 0u);  // one environment per UE: no eviction
-  EXPECT_GE(stats.hit_rate(), 0.9);
-  EXPECT_EQ(stats.full_builds, stats.cold_misses);
-  EXPECT_EQ(stats.incremental_builds, stats.refreshes);
-  EXPECT_EQ(stats.pair_sweeps,
-            static_cast<std::uint64_t>(steps) * batch.ue_count() *
-                batch.cell_count());
-}
-
-TEST(FleetChannelBatch, EmptyFleetIsRejected) {
-  core::ScenarioSpec spec = core::preset::paper_walk();
-  spec.ues.clear();
-  EXPECT_THROW(FleetChannelBatch batch(spec), std::invalid_argument);
 }
 
 TEST(FleetReport, ReactiveUesContributeNoAlignmentSamples) {

@@ -194,10 +194,9 @@ TEST(TraceBufferStress, PerThreadBuffersUnderConcurrentPushAndSnapshot) {
 }
 
 TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
-  // One Emitter + full sink set per thread (recorder, legacy EventLog,
-  // CounterSet) emitting concurrently — the per-run fan-out the parallel
-  // batch runner executes, with the shared global Logger alive next to
-  // it.
+  // One Emitter + both sinks per thread (recorder, counter registry)
+  // emitting concurrently — the per-run fan-out the parallel batch runner
+  // executes, with the shared global Logger alive next to it.
   constexpr int kThreads = 6;
   constexpr std::uint64_t kEvents = 5'000;
 
@@ -207,10 +206,8 @@ TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&failures] {
       obs::TraceRecorder recorder({.buffer_capacity = 1 << 8});
-      sim::EventLog log;
-      sim::CounterSet counters;
-      obs::Emitter emit{obs::Component::kSilentTracker, &recorder, &log,
-                        &counters};
+      obs::MetricRegistry counters;
+      obs::Emitter emit{obs::Component::kSilentTracker, &recorder, &counters};
       for (std::uint64_t i = 0; i < kEvents; ++i) {
         emit.emit({.t = sim::Time::zero() +
                         sim::Duration::nanoseconds(
@@ -220,7 +217,7 @@ TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
         emit.count("stress_events");
       }
       if (recorder.total_events() != kEvents ||
-          counters.value("stress_events") != kEvents) {
+          counters.counter_value("stress_events") != kEvents) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
     });

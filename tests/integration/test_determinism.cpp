@@ -5,37 +5,21 @@
 // random streams as the system under test).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/scenario.hpp"
+#include "support/trace_queries.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
+using test::fingerprint;
 
 ScenarioSpec spec_for(std::uint64_t seed, MobilityScenario mobility) {
   return SpecBuilder(preset::paper(mobility))
       .duration(12'000_ms)
       .seed(seed)
+      .collect_trace()
       .build();
-}
-
-std::string fingerprint(const ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
 }
 
 class DeterminismBySeed
@@ -59,8 +43,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Determinism, ReactiveProtocolAlsoDeterministic) {
   UeProfile reactive = preset::walking_ue();
   reactive.protocol = ProtocolKind::kReactive;
-  const ScenarioSpec spec =
-      SpecBuilder().duration(12'000_ms).seed(3).ue(reactive).build();
+  const ScenarioSpec spec = SpecBuilder()
+                                .duration(12'000_ms)
+                                .seed(3)
+                                .ue(reactive)
+                                .collect_trace()
+                                .build();
   const ScenarioResult a = run_scenario(spec);
   const ScenarioResult b = run_scenario(spec);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
@@ -80,8 +68,12 @@ TEST(Determinism, BeamwidthIsConfigNotRandomness) {
   UeProfile wide = preset::walking_ue();
   wide.ue_beamwidth_deg = 60.0;
   const ScenarioSpec s20 = spec_for(5, MobilityScenario::kHumanWalk);
-  const ScenarioSpec s60 =
-      SpecBuilder().duration(12'000_ms).seed(5).ue(wide).build();
+  const ScenarioSpec s60 = SpecBuilder()
+                               .duration(12'000_ms)
+                               .seed(5)
+                               .ue(wide)
+                               .collect_trace()
+                               .build();
   EXPECT_NE(fingerprint(run_scenario(s20)), fingerprint(run_scenario(s60)));
   EXPECT_EQ(fingerprint(run_scenario(s60)), fingerprint(run_scenario(s60)));
 }

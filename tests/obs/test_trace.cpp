@@ -1,11 +1,10 @@
-// Trace layer: ring-buffer bounds, the legacy_message compatibility
-// contract (byte-identical strings to the pre-trace call sites), and the
-// Emitter fan-out to both the typed and the legacy sinks.
+// Trace layer: ring-buffer bounds, export tags, and the Emitter's two
+// sinks (typed events to the recorder, counts to the run's registry).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include "sim/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -72,7 +71,7 @@ TEST(TraceRecorder, RoutesEventsToPerComponentBuffers) {
   EXPECT_EQ(recorder.total_dropped(), 0u);
 }
 
-TEST(TraceStrings, ComponentTagsMatchLegacyEventLogTags) {
+TEST(TraceStrings, ComponentTags) {
   EXPECT_EQ(obs::to_string(Component::kSilentTracker), "silent_tracker");
   EXPECT_EQ(obs::to_string(Component::kBeamSurfer), "beamsurfer");
   EXPECT_EQ(obs::to_string(Component::kReactive), "reactive");
@@ -83,143 +82,16 @@ TEST(TraceStrings, ComponentTagsMatchLegacyEventLogTags) {
   EXPECT_EQ(obs::to_string(Component::kEngine), "engine");
 }
 
-// The legacy strings are load-bearing: integration tests and examples
-// assert on exact EventLog lines, so legacy_message must reproduce the
-// pre-trace call sites byte for byte.
-TEST(LegacyMessage, StateTransitionPlainAndAccessing) {
-  TraceEvent plain{.type = TraceEventType::kStateTransition,
-                   .label = "Tracking"};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, plain),
-            "STATE Tracking");
-
-  TraceEvent accessing{.type = TraceEventType::kStateTransition,
-                       .cell = 1,
-                       .beam_a = 5,
-                       .beam_b = 9,
-                       .label = "Accessing"};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, accessing),
-            "STATE Accessing cell=1 tx=5 rx=9");
-
-  // "Accessing" without a cell renders the plain form.
-  TraceEvent no_cell{.type = TraceEventType::kStateTransition,
-                     .label = "Accessing"};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, no_cell),
-            "STATE Accessing");
-}
-
-TEST(LegacyMessage, BeamSwitchesDependOnComponent) {
-  TraceEvent rx{.type = TraceEventType::kRxBeamSwitch,
-                .beam_a = 3,
-                .beam_b = 4,
-                .value = -71.25};
-  EXPECT_EQ(legacy_message(Component::kBeamSurfer, rx),
-            "RX_SWITCH beam 3 -> 4 rss=-71.25");
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, rx),
-            "NEIGHBOUR_RX_SWITCH 3 -> 4 rss=-71.25");
-
-  TraceEvent tx{.type = TraceEventType::kTxBeamSwitch,
-                .beam_a = 2,
-                .beam_b = 6};
-  EXPECT_EQ(legacy_message(Component::kBeamSurfer, tx),
-            "TX_SWITCH serving tx -> 6");
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, tx),
-            "TX_RETARGET 2 -> 6");
-}
-
-TEST(LegacyMessage, DropsAndLossLines) {
-  TraceEvent drop{.type = TraceEventType::kRssDrop,
-                  .value = -74.5,
-                  .value2 = -70.0};
-  EXPECT_EQ(legacy_message(Component::kBeamSurfer, drop),
-            "DROP serving rss=-74.5 ref=-70");
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, drop),
-            "NEIGHBOUR_DROP rss=-74.5 ref=-70");
-
-  TraceEvent lost{.type = TraceEventType::kServingLost};
-  EXPECT_EQ(legacy_message(Component::kReactive, lost), "SERVING_LOST");
-  lost.label = "rlf";
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, lost),
-            "SERVING_LOST reason=rlf");
-
-  TraceEvent unreachable{.type = TraceEventType::kServingUnreachable};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, unreachable),
-            "SERVING_UNREACHABLE");
-
-  TraceEvent abandoned{.type = TraceEventType::kNeighbourAbandoned,
-                       .cell = 1,
-                       .value = 240.0};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, abandoned),
-            "NEIGHBOUR_ABANDONED cell=1 quiet_ms=240");
-
-  TraceEvent sweep{.type = TraceEventType::kRecoverySweep};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, sweep),
-            "NEIGHBOUR_RECOVERY_SWEEP");
-}
-
-TEST(LegacyMessage, CellFoundAndHandoverComplete) {
-  TraceEvent found{.type = TraceEventType::kCellFound,
-                   .cell = 1,
-                   .beam_a = 2,
-                   .beam_b = 3,
-                   .value = -70.5,
-                   .value2 = 120.0};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, found),
-            "FOUND cell=1 tx=2 rx=3 rss=-70.5 latency_ms=120");
-
-  TraceEvent ho{.type = TraceEventType::kHandoverComplete,
-                .cell = 1,
-                .beam_b = 7,
-                .value = 42.5,
-                .flag = true};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, ho),
-            "HO_COMPLETE cell=1 rx=7 interruption_ms=42.5");
-  EXPECT_EQ(legacy_message(Component::kReactive, ho),
-            "HO_COMPLETE interruption_ms=42.5");
-  ho.flag = false;
-  EXPECT_EQ(legacy_message(Component::kReactive, ho),
-            "HO_FAILED interruption_ms=42.5");
-}
-
-TEST(LegacyMessage, RachOutcomeOnlyNarratedBySilentTrackerFailure) {
-  TraceEvent outcome{.type = TraceEventType::kRachOutcome,
-                     .cell = 1,
-                     .value = 3.0,
-                     .flag = false};
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, outcome),
-            "RACH_FAILED");
-  outcome.flag = true;
-  EXPECT_EQ(legacy_message(Component::kSilentTracker, outcome),
-            std::nullopt);
-  EXPECT_EQ(legacy_message(Component::kReactive, outcome), std::nullopt);
-}
-
-TEST(LegacyMessage, TraceOnlyTypesHaveNoLegacyLine) {
-  for (const TraceEventType type :
-       {TraceEventType::kRssSample, TraceEventType::kSearchStart,
-        TraceEventType::kSearchDwell, TraceEventType::kSearchOutcome,
-        TraceEventType::kRachStart, TraceEventType::kRachAttempt,
-        TraceEventType::kLinkBelowThreshold,
-        TraceEventType::kRadioLinkFailure}) {
-    TraceEvent e{.type = type, .cell = 1, .value = 1.0, .flag = true};
-    EXPECT_EQ(legacy_message(Component::kCellSearch, e), std::nullopt)
-        << "type " << obs::to_string(type);
-    EXPECT_EQ(legacy_message(Component::kSilentTracker, e), std::nullopt)
-        << "type " << obs::to_string(type);
-  }
-}
-
 TEST(Emitter, AllSinksNullIsANoOp) {
   obs::Emitter emitter{Component::kBeamSurfer};
   EXPECT_FALSE(emitter.tracing());
-  EXPECT_FALSE(emitter.active());
   emitter.emit({.t = at_ms(1), .type = TraceEventType::kRecoverySweep});
   emitter.count("switches");  // must not crash
 }
 
-TEST(Emitter, FansOutToRecorderAndLegacyLog) {
+TEST(Emitter, EmitRecordsTheTypedEventInItsComponentBuffer) {
   obs::TraceRecorder recorder;
-  sim::EventLog log;
-  obs::Emitter emitter{Component::kBeamSurfer, &recorder, &log};
+  obs::Emitter emitter{Component::kBeamSurfer, &recorder};
   EXPECT_TRUE(emitter.tracing());
 
   emitter.emit({.t = at_ms(5),
@@ -230,45 +102,33 @@ TEST(Emitter, FansOutToRecorderAndLegacyLog) {
 
   const auto events = recorder.buffer(Component::kBeamSurfer).snapshot();
   ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].t, at_ms(5));
   EXPECT_EQ(events[0].type, TraceEventType::kRxBeamSwitch);
   EXPECT_EQ(events[0].beam_a, 3);
   EXPECT_EQ(events[0].beam_b, 4);
-
-  ASSERT_EQ(log.entries().size(), 1u);
-  EXPECT_EQ(log.entries()[0].t, at_ms(5));
-  EXPECT_EQ(log.entries()[0].component, "beamsurfer");
-  EXPECT_EQ(log.entries()[0].message, "RX_SWITCH beam 3 -> 4 rss=-71.25");
+  EXPECT_EQ(events[0].value, -71.25);
+  EXPECT_EQ(recorder.total_events(), 1u);
 }
 
-TEST(Emitter, TraceOnlyEventDoesNotTouchTheEventLog) {
+TEST(Emitter, CountBumpsOneUnqualifiedRegistryCounter) {
   obs::TraceRecorder recorder;
-  sim::EventLog log;
-  obs::Emitter emitter{Component::kRach, &recorder, &log};
-  emitter.emit({.t = at_ms(1),
-                .type = TraceEventType::kRachAttempt,
-                .cell = 1,
-                .value = 1.0});
-  EXPECT_EQ(recorder.buffer(Component::kRach).size(), 1u);
-  EXPECT_TRUE(log.entries().empty());
-}
-
-TEST(Emitter, CountBumpsBothLegacyAndQualifiedRegistryCounter) {
-  obs::TraceRecorder recorder;
-  sim::CounterSet counters;
-  obs::Emitter emitter{Component::kSilentTracker, &recorder, nullptr,
-                       &counters};
+  obs::MetricRegistry counters;
+  obs::Emitter emitter{Component::kSilentTracker, &recorder, &counters};
   emitter.count("rach_failures");
   emitter.count("rach_failures", 2);
-  EXPECT_EQ(counters.value("rach_failures"), 3u);
-  EXPECT_EQ(recorder.metrics().counter_value("silent_tracker.rach_failures"),
-            3u);
+  EXPECT_EQ(counters.counter_value("rach_failures"), 3u);
+  EXPECT_EQ(counters.counters().size(), 1u);
+  // Counting never writes into the trace's own registry.
+  EXPECT_TRUE(recorder.metrics().counters().empty());
 }
 
-TEST(Emitter, CountWithoutRecorderOnlyBumpsLegacyCounter) {
-  sim::CounterSet counters;
-  obs::Emitter emitter{Component::kBeamSurfer, nullptr, nullptr, &counters};
+TEST(Emitter, CountWorksWithoutARecorder) {
+  obs::MetricRegistry counters;
+  obs::Emitter emitter{Component::kBeamSurfer, nullptr, &counters};
+  EXPECT_FALSE(emitter.tracing());
+  emitter.emit({.t = at_ms(1), .type = TraceEventType::kRecoverySweep});
   emitter.count("switches");
-  EXPECT_EQ(counters.value("switches"), 1u);
+  EXPECT_EQ(counters.counter_value("switches"), 1u);
 }
 
 }  // namespace

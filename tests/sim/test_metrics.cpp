@@ -117,51 +117,5 @@ TEST(TimeSeries, CsvFormat) {
   EXPECT_NE(csv.find("1.500000,-61.250000"), std::string::npos);
 }
 
-TEST(CounterSet, IncrementAndQuery) {
-  CounterSet c;
-  EXPECT_EQ(c.value("beam_switches"), 0U);
-  c.increment("beam_switches");
-  c.increment("beam_switches", 4);
-  EXPECT_EQ(c.value("beam_switches"), 5U);
-  EXPECT_EQ(c.all().size(), 1U);
-}
-
-TEST(CounterSet, IndependentCounters) {
-  CounterSet c;
-  c.increment("a");
-  c.increment("b", 2);
-  EXPECT_EQ(c.value("a"), 1U);
-  EXPECT_EQ(c.value("b"), 2U);
-  EXPECT_EQ(c.value("missing"), 0U);
-}
-
-TEST(EventLog, RecordsInOrder) {
-  EventLog log;
-  log.record(Time::zero() + 1_ms, "proto", "STATE Searching");
-  log.record(Time::zero() + 2_ms, "proto", "FOUND cell=1");
-  ASSERT_EQ(log.entries().size(), 2U);
-  EXPECT_EQ(log.entries()[0].message, "STATE Searching");
-  EXPECT_EQ(log.entries()[1].component, "proto");
-}
-
-TEST(EventLog, PrefixFiltering) {
-  EventLog log;
-  log.record(Time::zero() + 1_ms, "a", "HO_COMPLETE x");
-  log.record(Time::zero() + 2_ms, "a", "DROP y");
-  log.record(Time::zero() + 3_ms, "a", "HO_COMPLETE z");
-  const auto hits = log.with_prefix("HO_COMPLETE");
-  ASSERT_EQ(hits.size(), 2U);
-  EXPECT_EQ(hits[1].message, "HO_COMPLETE z");
-}
-
-TEST(EventLog, FirstTimeOf) {
-  EventLog log;
-  log.record(Time::zero() + 5_ms, "a", "FOUND cell=1");
-  Time t{};
-  EXPECT_TRUE(log.first_time_of("FOUND", t));
-  EXPECT_EQ(t, Time::zero() + 5_ms);
-  EXPECT_FALSE(log.first_time_of("MISSING", t));
-}
-
 }  // namespace
 }  // namespace st::sim
