@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark harness.
 //
-// Every bench binary regenerates one table/figure of the paper's
+// Every bench binary regenerates tables/figures of the paper's
 // evaluation (see DESIGN.md §4) and prints the rows/series the paper
 // reports. All runs are seeded; rerunning a binary reproduces its output
 // bit for bit. Configurations are ScenarioSpecs, usually started from the
@@ -9,18 +9,17 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scenario.hpp"
-#include "core/spec_json.hpp"
 #include "fleet/parallel.hpp"
 #include "obs/export.hpp"
+#include "rate/rate_model.hpp"
 
 namespace st::bench {
 
@@ -97,95 +96,6 @@ inline bool write_observability(const ObsOptions& options,
   return ok;
 }
 
-/// Scenario shaping shared by the scenario-driven binaries (flag parity
-/// with bench_fleet): `--preset=<name>` collapses the bench's default
-/// scenario axis to one named spec preset (core::preset_by_name — the
-/// multi-cell presets bring their own deployment shape, cell load, and
-/// handover policy), `--duration-ms=<D>` overrides the per-run duration.
-/// Both accept the two-token `--flag value` spelling and default off.
-struct SpecOptions {
-  std::string preset;
-  std::int64_t duration_ms = 0;
-};
-
-/// Strip `--preset=...` / `--duration-ms=...` from argv, mirroring
-/// consume_obs_options, so the two passes compose in either order.
-[[nodiscard]] inline SpecOptions consume_spec_options(int& argc, char** argv) {
-  SpecOptions options;
-  std::string duration;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto match = [&](const std::string& flag,
-                           std::string& value) -> bool {
-      if (arg.starts_with(flag + "=")) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-      }
-      if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    if (match("--preset", options.preset) ||
-        match("--duration-ms", duration)) {
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  if (!duration.empty()) {
-    options.duration_ms = std::strtol(duration.c_str(), nullptr, 10);
-  }
-  return options;
-}
-
-/// Exit with status 2 on any argv entry the consume_* passes left behind.
-inline void reject_unknown_options(int argc, char** argv,
-                                   std::string_view binary) {
-  if (argc > 1) {
-    std::cerr << binary << ": unknown option '" << argv[1] << "'\n";
-    std::exit(2);
-  }
-}
-
-/// One labelled spec per swept scenario.
-struct LabelledSpec {
-  std::string label;
-  core::ScenarioSpec spec;
-};
-
-/// The scenario axis of a mobility-sweeping bench: by default one paper
-/// preset per mobility in `default_mobilities` (at `default_duration_ms`
-/// when positive, otherwise each preset's own duration); `--preset`
-/// replaces the whole axis with the named preset and `--duration-ms`
-/// overrides the duration either way.
-[[nodiscard]] inline std::vector<LabelledSpec> scenario_axis(
-    const SpecOptions& options,
-    std::initializer_list<core::MobilityScenario> default_mobilities,
-    std::int64_t default_duration_ms = 0) {
-  const std::int64_t duration_ms =
-      options.duration_ms > 0 ? options.duration_ms : default_duration_ms;
-  const auto with_duration = [&](core::ScenarioSpec spec) {
-    if (duration_ms > 0) {
-      spec.duration = sim::Duration::milliseconds(duration_ms);
-    }
-    return core::SpecBuilder(std::move(spec)).build();
-  };
-  std::vector<LabelledSpec> axis;
-  if (!options.preset.empty()) {
-    axis.push_back(
-        {options.preset, with_duration(core::preset_by_name(options.preset))});
-    return axis;
-  }
-  for (const core::MobilityScenario mobility : default_mobilities) {
-    axis.push_back({std::string(core::to_string(mobility)),
-                    with_duration(core::preset::paper(mobility))});
-  }
-  return axis;
-}
-
 /// Repetition seeds used across benches (arbitrary but fixed).
 [[nodiscard]] inline std::vector<std::uint64_t> seeds(std::size_t n) {
   std::vector<std::uint64_t> out;
@@ -204,6 +114,15 @@ struct Aggregate {
   SampleSet interruption_ms;          ///< successful handovers only
   SampleSet alignment_fraction;       ///< per run: time-aligned fraction
   SampleSet rach_attempts;
+  RunningStats rx_switches;       ///< per run: neighbour + serving RX switches
+  RunningStats drop_events;       ///< per run: neighbour + serving 3 dB drops
+  RunningStats ssb_observations;  ///< per run: SSB listening attempts
+  rate::RateStats rate;           ///< rate-layer totals, merged over runs
+
+  /// Scenario runs absorbed.
+  [[nodiscard]] std::size_t runs() const noexcept {
+    return ssb_observations.count();
+  }
 
   void absorb(const core::ScenarioResult& result) {
     for (const auto& h : result.handovers) {
@@ -222,6 +141,15 @@ struct Aggregate {
       // metric).
       alignment_fraction.add(result.alignment_until_first_handover());
     }
+    const auto count = [&](std::string_view neighbour,
+                           std::string_view serving) {
+      return static_cast<double>(result.counters.counter_value(neighbour) +
+                                 result.counters.counter_value(serving));
+    };
+    rx_switches.add(count("neighbour_rx_switches", "serving_rx_switches"));
+    drop_events.add(count("neighbour_drop_events", "serving_drop_events"));
+    ssb_observations.add(static_cast<double>(result.ssb_observations));
+    rate.merge(result.rate);
   }
 };
 

@@ -13,6 +13,8 @@ std::string_view to_string(BeamPolicyKind kind) noexcept {
       return "hierarchical";
     case BeamPolicyKind::kBlind:
       return "blind";
+    case BeamPolicyKind::kFullSweep:
+      return "full_sweep";
   }
   return "?";
 }
@@ -21,40 +23,44 @@ namespace {
 
 // The paper's planner, verbatim: trend side (or both) plus a fresh
 // re-measurement of the current beam, so candidates compete
-// fresh-vs-fresh instead of against the lagging filter. kFullSweep is
-// the E6 ablation: the whole codebook minus the current beam.
+// fresh-vs-fresh instead of against the lagging filter.
 class SilentTrackerPolicy final : public BeamPolicy {
  public:
-  explicit SilentTrackerPolicy(bool full_sweep) : full_sweep_(full_sweep) {}
-
   [[nodiscard]] std::string_view name() const noexcept override {
-    return full_sweep_ ? "silent_tracker_full_sweep" : "silent_tracker";
+    return "silent_tracker";
   }
 
   void plan_probe(const BeamProbeContext& ctx,
                   std::vector<phy::BeamId>& out) override {
     const phy::Codebook& cb = ctx.codebook;
-    if (!full_sweep_) {
-      if (ctx.rx_trend < 0) {
-        out = {cb.left_neighbour(ctx.current), ctx.current};
-      } else if (ctx.rx_trend > 0) {
-        out = {cb.right_neighbour(ctx.current), ctx.current};
-      } else {
-        out = {cb.left_neighbour(ctx.current), cb.right_neighbour(ctx.current),
-               ctx.current};
-      }
+    if (ctx.rx_trend < 0) {
+      out = {cb.left_neighbour(ctx.current), ctx.current};
+    } else if (ctx.rx_trend > 0) {
+      out = {cb.right_neighbour(ctx.current), ctx.current};
     } else {
-      out.reserve(cb.size());
-      for (const phy::Beam& beam : cb.beams()) {
-        if (beam.id() != ctx.current) {
-          out.push_back(beam.id());
-        }
+      out = {cb.left_neighbour(ctx.current), cb.right_neighbour(ctx.current),
+             ctx.current};
+    }
+  }
+};
+
+// The E6 ablation of the adjacent rule: re-measure the whole codebook
+// minus the current beam, in id order.
+class FullSweepPolicy final : public BeamPolicy {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "full_sweep";
+  }
+
+  void plan_probe(const BeamProbeContext& ctx,
+                  std::vector<phy::BeamId>& out) override {
+    out.reserve(ctx.codebook.size());
+    for (const phy::Beam& beam : ctx.codebook.beams()) {
+      if (beam.id() != ctx.current) {
+        out.push_back(beam.id());
       }
     }
   }
-
- private:
-  bool full_sweep_;
 };
 
 // Coarse-to-fine fast beam training: a strided tier spanning the whole
@@ -148,17 +154,18 @@ class BlindPolicy final : public BeamPolicy {
 
 }  // namespace
 
-std::unique_ptr<BeamPolicy> make_beam_policy(const BeamPolicyConfig& config,
-                                             bool full_sweep) {
+std::unique_ptr<BeamPolicy> make_beam_policy(const BeamPolicyConfig& config) {
   switch (config.kind) {
     case BeamPolicyKind::kHierarchical:
       return std::make_unique<HierarchicalPolicy>(config.coarse_stride);
     case BeamPolicyKind::kBlind:
       return std::make_unique<BlindPolicy>();
+    case BeamPolicyKind::kFullSweep:
+      return std::make_unique<FullSweepPolicy>();
     case BeamPolicyKind::kSilentTracker:
       break;
   }
-  return std::make_unique<SilentTrackerPolicy>(full_sweep);
+  return std::make_unique<SilentTrackerPolicy>();
 }
 
 }  // namespace st::core

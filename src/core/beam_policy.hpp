@@ -9,6 +9,9 @@
 //    adjacent beams (trend side only under steady drift) plus a fresh
 //    re-measurement of the current beam. Two to three bursts per
 //    reaction; beats everything on reaction latency.
+//  * kFullSweep — the E6 ablation of that rule: re-measure the whole
+//    codebook minus the current beam. Finds the global best beam per
+//    decision, but one burst per beam lets the link move on mid-sweep.
 //  * kHierarchical — coarse-to-fine fast beam training in the style of
 //    Palacios et al. ("Tracking mm-Wave Channel Dynamics"): probe a
 //    strided coarse tier spanning the whole codebook, then refine one
@@ -23,10 +26,10 @@
 // The escalation ladder around a probe round — noise-floor detection,
 // the one-shot full-codebook recovery sweep, re-baselining — is common
 // machinery and stays in SilentTracker; policies only plan candidate
-// lists. The default policy reproduces the historical planner bit for
-// bit (including the ProbePolicy::kFullSweep ablation), so runs with
-// `beam_policy` unset are fingerprint-identical to before the
-// extraction.
+// lists. The tracker builds a fresh policy from its config at every
+// start(); the default policy reproduces the historical planner bit for
+// bit, so runs with `beam_policy` unset are fingerprint-identical to
+// before the extraction.
 #pragma once
 
 #include <memory>
@@ -41,6 +44,7 @@ enum class BeamPolicyKind {
   kSilentTracker,  ///< the paper's adjacent-probe rule (default)
   kHierarchical,   ///< coarse tier, then refine around the winner
   kBlind,          ///< jump to the trend-predicted beam, no re-measure
+  kFullSweep,      ///< every beam but the current one (E6 ablation)
 };
 
 [[nodiscard]] std::string_view to_string(BeamPolicyKind kind) noexcept;
@@ -89,9 +93,7 @@ class BeamPolicy {
   }
 };
 
-/// kFullSweep mirrors SilentTrackerConfig::probe_policy for the default
-/// policy (the E6 ablation); the competitors ignore it.
 [[nodiscard]] std::unique_ptr<BeamPolicy> make_beam_policy(
-    const BeamPolicyConfig& config, bool full_sweep = false);
+    const BeamPolicyConfig& config);
 
 }  // namespace st::core

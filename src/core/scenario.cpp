@@ -105,13 +105,6 @@ class ScenarioRun {
       decision_ = std::make_unique<net::HandoverDecision>(
           profile_.handover_policy, spec.cell_load);
     }
-    if (profile_.beam_policy.kind != BeamPolicyKind::kSilentTracker) {
-      // One policy instance per mobile, shared across the handover chain
-      // (mirrors the decision layer). Default kind stays null so the
-      // tracker builds its own — the historical construction, bit for
-      // bit.
-      policy_ = make_beam_policy(profile_.beam_policy);
-    }
     for (const double load : spec.cell_load) {
       has_load_ |= load > 0.0;
     }
@@ -162,9 +155,6 @@ class ScenarioRun {
       tracker.set_tracer(trace_.get());
       if (decision_ != nullptr) {
         tracker.set_decision(decision_.get());
-      }
-      if (policy_ != nullptr) {
-        tracker.set_policy(policy_.get());
       }
       tracker.start(serving, rx_beam, rss_dbm,
                     [this](const net::HandoverRecord& r) {
@@ -337,7 +327,6 @@ class ScenarioRun {
   std::shared_ptr<obs::TraceRecorder> trace_;
   std::unique_ptr<net::RadioEnvironment> environment_;
   std::unique_ptr<net::HandoverDecision> decision_;
-  std::unique_ptr<BeamPolicy> policy_;
   std::vector<std::unique_ptr<SilentTracker>> trackers_;
   std::vector<std::unique_ptr<ReactiveHandover>> reactives_;
   rate::RateAccumulator rate_;
@@ -500,7 +489,8 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   obs::RunReport report;
   report.scenario = std::string(to_string(profile.mobility));
   report.protocol = std::string(to_string(profile.protocol));
-  report.beam_policy = std::string(to_string(profile.beam_policy.kind));
+  report.beam_policy =
+      std::string(to_string(profile.tracker.beam_policy.kind));
   report.seed = fleet_ue_seed(spec.seed, ue);
   report.duration_ms = spec.duration.ms();
   report.ue_beamwidth_deg = profile.ue_beamwidth_deg;

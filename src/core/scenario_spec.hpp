@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/beam_policy.hpp"
 #include "core/reactive_handover.hpp"
 #include "core/silent_tracker.hpp"
 #include "rate/rate_model.hpp"
@@ -68,11 +67,6 @@ struct UeProfile {
   /// ping-pong penalty timer). Disabled by default: the paper presets
   /// keep the legacy strongest-RSS selection bit for bit.
   net::HandoverPolicyConfig handover_policy{};
-
-  /// Probe-planning strategy for the tracker (E15 head-to-head
-  /// evaluation). The default kind reproduces the paper's own planner
-  /// bit for bit; kHierarchical/kBlind swap in the competitors.
-  BeamPolicyConfig beam_policy{};
 
   /// Start a fresh protocol instance after each completed handover (the
   /// vehicular drive passes several cells).

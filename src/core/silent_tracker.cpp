@@ -69,14 +69,6 @@ void SilentTracker::set_decision(net::HandoverDecision* decision) {
   decision_ = decision;
 }
 
-void SilentTracker::set_policy(BeamPolicy* policy) {
-  if (state_ != SilentTrackerState::kIdle) {
-    throw std::logic_error(
-        "SilentTracker: set_policy before start(), not mid-run");
-  }
-  policy_ = policy;
-}
-
 void SilentTracker::set_tracer(obs::TraceRecorder* recorder) {
   emit_.recorder = recorder;
   if (beamsurfer_ != nullptr) {
@@ -112,12 +104,7 @@ void SilentTracker::start(net::CellId serving_cell,
   record_ = net::HandoverRecord{};
   record_.from = serving_cell;
 
-  if (policy_ == nullptr) {
-    owned_policy_ = make_beam_policy(
-        BeamPolicyConfig{},
-        config_.probe_policy == ProbePolicy::kFullSweep);
-    policy_ = owned_policy_.get();
-  }
+  policy_ = make_beam_policy(config_.beam_policy);
 
   beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
                                              serving_cell, config_.beamsurfer);

@@ -64,16 +64,12 @@ enum class SilentTrackerState {
 
 [[nodiscard]] std::string_view to_string(SilentTrackerState state) noexcept;
 
-/// What the tracker probes when the 3 dB drop fires. The paper's design
-/// is kAdjacent (two candidate beams, one burst each); kFullSweep is the
-/// ablation baseline that re-measures the whole codebook — more accurate
-/// per decision but so slow (one burst per beam) that the link moves on
-/// before the sweep finishes.
-enum class ProbePolicy { kAdjacent, kFullSweep };
-
 struct SilentTrackerConfig {
   RssTrackerConfig neighbour_tracker{};
-  ProbePolicy probe_policy = ProbePolicy::kAdjacent;
+  /// What the tracker probes when the 3 dB drop fires (core/beam_policy.hpp).
+  /// The default kind is the paper's adjacent-beam rule; kFullSweep is the
+  /// E6 ablation and kHierarchical/kBlind the E15 competitors.
+  BeamPolicyConfig beam_policy{};
   BeamSurferConfig beamsurfer{};
   net::CellSearchConfig search{};
   net::RachConfig rach{};
@@ -160,14 +156,6 @@ class SilentTracker {
   /// must be set before start().
   void set_decision(net::HandoverDecision* decision);
 
-  /// Probe-planning strategy (not owned; may be null). Null means the
-  /// paper's own planner (honouring `config.probe_policy`), constructed
-  /// lazily at start() — existing callers see bit-identical behaviour.
-  /// Like the decision layer, the policy outlives the tracker (the
-  /// scenario layer owns it across handover chains) and must be set
-  /// before start().
-  void set_policy(BeamPolicy* policy);
-
   /// The active policy's name (valid after start()).
   [[nodiscard]] std::string_view policy_name() const noexcept {
     return policy_ != nullptr ? policy_->name() : std::string_view{};
@@ -249,10 +237,8 @@ class SilentTracker {
   sim::EventId rival_scan_event_ = 0;
   std::vector<sim::EventId> rival_obs_events_;
 
-  /// Probe planner. `policy_` is the active strategy; `owned_policy_`
-  /// backs it only when no external policy was injected via set_policy.
-  BeamPolicy* policy_ = nullptr;
-  std::unique_ptr<BeamPolicy> owned_policy_;
+  /// Probe planner, built from `config_.beam_policy` at start().
+  std::unique_ptr<BeamPolicy> policy_;
 
   // Handover bookkeeping.
   net::HandoverRecord record_;

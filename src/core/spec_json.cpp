@@ -88,8 +88,11 @@ void apply_handover_policy_overrides(net::HandoverPolicyConfig& policy,
   if (name == to_string(BeamPolicyKind::kBlind)) {
     return BeamPolicyKind::kBlind;
   }
+  if (name == to_string(BeamPolicyKind::kFullSweep)) {
+    return BeamPolicyKind::kFullSweep;
+  }
   fail("unknown beam policy \"" + std::string(name) +
-       "\" (expected silent_tracker, hierarchical, or blind)");
+       "\" (expected silent_tracker, hierarchical, blind, or full_sweep)");
 }
 
 void apply_beam_policy_overrides(BeamPolicyConfig& policy,
@@ -223,7 +226,7 @@ void apply_profile_overrides(UeProfile& profile, const Value& overrides) {
         } else if (key == "handover_policy") {
           apply_handover_policy_overrides(profile.handover_policy, v);
         } else if (key == "beam_policy") {
-          apply_beam_policy_overrides(profile.beam_policy, v);
+          apply_beam_policy_overrides(profile.tracker.beam_policy, v);
         } else if (key == "chain_handovers") {
           profile.chain_handovers = v.as_bool();
         } else {
@@ -347,10 +350,9 @@ Value profile_to_json(const UeProfile& profile) {
   out.set("handover_policy", std::move(ho));
 
   Value bp = Value::object();
-  bp.set("policy",
-         Value::string(std::string(to_string(profile.beam_policy.kind))));
-  bp.set("coarse_stride",
-         Value::unsigned_integer(profile.beam_policy.coarse_stride));
+  const BeamPolicyConfig& beam_policy = profile.tracker.beam_policy;
+  bp.set("policy", Value::string(std::string(to_string(beam_policy.kind))));
+  bp.set("coarse_stride", Value::unsigned_integer(beam_policy.coarse_stride));
   out.set("beam_policy", std::move(bp));
   return out;
 }

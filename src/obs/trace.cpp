@@ -96,8 +96,14 @@ std::vector<TraceEvent> TraceBuffer::snapshot() const {
   return out;
 }
 
-TraceRecorder::TraceRecorder(TraceConfig config)
-    : buffers_(kComponentCount, TraceBuffer(config.buffer_capacity)) {}
+TraceRecorder::TraceRecorder(TraceConfig config) {
+  // Built in place, not copied from a prototype: a copy would drop each
+  // ring's up-front reserve and allocate the prototype's for nothing.
+  buffers_.reserve(kComponentCount);
+  for (std::size_t i = 0; i < kComponentCount; ++i) {
+    buffers_.emplace_back(config.buffer_capacity);
+  }
+}
 
 std::uint64_t TraceRecorder::total_events() const noexcept {
   std::uint64_t n = 0;

@@ -16,9 +16,13 @@ namespace st::bench {
 namespace {
 
 core::ScenarioSpec short_spec() {
-  return core::SpecBuilder(core::preset::paper_walk())
-      .duration(sim::Duration::milliseconds(2'000))
-      .build();
+  core::ScenarioSpec spec = core::SpecBuilder(core::preset::paper_walk())
+                                .duration(sim::Duration::milliseconds(2'000))
+                                .build();
+  // The rate layer is observer-only; on, it gives Aggregate::rate
+  // something to compare.
+  spec.rate.enabled = true;
+  return spec;
 }
 
 void expect_identical(const SuccessRate& a, const SuccessRate& b) {
@@ -34,6 +38,25 @@ void expect_identical(const SampleSet& a, const SampleSet& b) {
   }
 }
 
+void expect_identical(const RunningStats& a, const RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+void expect_identical(const rate::RateStats& a, const rate::RateStats& b) {
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.served_samples, b.served_samples);
+  EXPECT_EQ(a.bits, b.bits);
+  EXPECT_EQ(a.sum_sinr_db, b.sum_sinr_db);
+  EXPECT_EQ(a.sum_cqi, b.sum_cqi);
+  EXPECT_EQ(a.duration_ms, b.duration_ms);
+  EXPECT_EQ(a.outage_events, b.outage_events);
+  EXPECT_EQ(a.outage_ms, b.outage_ms);
+  EXPECT_EQ(a.longest_outage_ms, b.longest_outage_ms);
+}
+
 void expect_identical(const Aggregate& a, const Aggregate& b) {
   expect_identical(a.handover_success, b.handover_success);
   expect_identical(a.soft_fraction, b.soft_fraction);
@@ -41,6 +64,10 @@ void expect_identical(const Aggregate& a, const Aggregate& b) {
   expect_identical(a.interruption_ms, b.interruption_ms);
   expect_identical(a.alignment_fraction, b.alignment_fraction);
   expect_identical(a.rach_attempts, b.rach_attempts);
+  expect_identical(a.rx_switches, b.rx_switches);
+  expect_identical(a.drop_events, b.drop_events);
+  expect_identical(a.ssb_observations, b.ssb_observations);
+  expect_identical(a.rate, b.rate);
 }
 
 TEST(RunBatchParallel, BitIdenticalToSerial) {

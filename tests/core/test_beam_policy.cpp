@@ -59,15 +59,28 @@ TEST(SilentTrackerPolicy, ProbesTrendNeighbourPlusCurrent) {
 }
 
 TEST(SilentTrackerPolicy, FullSweepVariantProbesWholeCodebook) {
+  // The E6 ablation of the adjacent rule: every beam except the current
+  // one, in id order, whatever the trend.
   const phy::Codebook codebook = make_ue_codebook(20.0);
-  const auto policy =
-      make_beam_policy(BeamPolicyConfig{}, /*full_sweep=*/true);
-  EXPECT_EQ(policy->name(), "silent_tracker_full_sweep");
+  BeamPolicyConfig config;
+  config.kind = BeamPolicyKind::kFullSweep;
+  const auto policy = make_beam_policy(config);
+  EXPECT_EQ(policy->name(), "full_sweep");
   const phy::BeamId current = 3;
-  std::vector<phy::BeamId> probes;
-  policy->plan_probe(context(codebook, current, 0), probes);
-  EXPECT_EQ(probes.size(), codebook.size() - 1);
-  EXPECT_FALSE(contains(probes, current));
+  std::vector<phy::BeamId> expected;
+  for (phy::BeamId beam = 0; beam < codebook.size(); ++beam) {
+    if (beam != current) {
+      expected.push_back(beam);
+    }
+  }
+  for (const int trend : {-1, 0, +1}) {
+    std::vector<phy::BeamId> probes;
+    policy->plan_probe(context(codebook, current, trend), probes);
+    EXPECT_EQ(probes, expected) << "trend " << trend;
+  }
+  std::vector<phy::BeamId> refine;
+  policy->plan_refine(context(codebook, current, 0), /*winner=*/4, refine);
+  EXPECT_TRUE(refine.empty());
 }
 
 TEST(SilentTrackerPolicy, PlansNoRefineRound) {
@@ -169,12 +182,13 @@ TEST(BeamPolicyKindNames, RoundTripThroughToString) {
   EXPECT_EQ(to_string(BeamPolicyKind::kSilentTracker), "silent_tracker");
   EXPECT_EQ(to_string(BeamPolicyKind::kHierarchical), "hierarchical");
   EXPECT_EQ(to_string(BeamPolicyKind::kBlind), "blind");
+  EXPECT_EQ(to_string(BeamPolicyKind::kFullSweep), "full_sweep");
 }
 
 // ---- scenario integration -------------------------------------------------
 
 TEST(BeamPolicyScenario, ExplicitSilentTrackerMatchesDefaultBitForBit) {
-  // UeProfile.beam_policy = silent_tracker is the no-override spelling:
+  // tracker.beam_policy = silent_tracker is the no-override spelling:
   // the run must be fingerprint-identical to an unset policy, rate layer
   // and all.
   ScenarioSpec base = preset::paper_walk();
@@ -183,7 +197,7 @@ TEST(BeamPolicyScenario, ExplicitSilentTrackerMatchesDefaultBitForBit) {
 
   ScenarioSpec with_policy = base;
   for (UeProfile& ue : with_policy.ues) {
-    ue.beam_policy.kind = BeamPolicyKind::kSilentTracker;
+    ue.tracker.beam_policy.kind = BeamPolicyKind::kSilentTracker;
   }
 
   const ScenarioResult unset = run_scenario(base);
@@ -198,7 +212,7 @@ TEST_P(PolicyRuns, EveryPolicyDrivesTheScenarioToCompletion) {
   // duration, so every policy must carry a handover to completion.
   ScenarioSpec spec = preset::paper_vehicular();
   for (UeProfile& ue : spec.ues) {
-    ue.beam_policy.kind = GetParam();
+    ue.tracker.beam_policy.kind = GetParam();
   }
   const ScenarioResult result = run_scenario(spec);
   EXPECT_GT(result.serving_snr_db.size(), 0U);
@@ -215,7 +229,8 @@ TEST_P(PolicyRuns, EveryPolicyDrivesTheScenarioToCompletion) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyRuns,
                          ::testing::Values(BeamPolicyKind::kSilentTracker,
                                            BeamPolicyKind::kHierarchical,
-                                           BeamPolicyKind::kBlind),
+                                           BeamPolicyKind::kBlind,
+                                           BeamPolicyKind::kFullSweep),
                          [](const auto& param_info) {
                            return std::string(to_string(param_info.param));
                          });
@@ -226,7 +241,7 @@ TEST(BeamPolicyScenario, HierarchicalFillsRefineRounds) {
   ScenarioSpec spec = preset::paper_rotation();
   spec.duration = 10'000_ms;
   for (UeProfile& ue : spec.ues) {
-    ue.beam_policy.kind = BeamPolicyKind::kHierarchical;
+    ue.tracker.beam_policy.kind = BeamPolicyKind::kHierarchical;
   }
   const ScenarioResult result = run_scenario(spec);
   EXPECT_GT(result.counters.counter_value("probe_refine_rounds"), 0U);

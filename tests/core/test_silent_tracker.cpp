@@ -169,7 +169,7 @@ TEST(SilentTracker, StateAccessorsDuringTracking) {
 TEST(SilentTracker, FullSweepPolicyAlsoCompletes) {
   TrackerWorld world;
   SilentTrackerConfig config;
-  config.probe_policy = ProbePolicy::kFullSweep;
+  config.beam_policy.kind = BeamPolicyKind::kFullSweep;
   world.start(config);
   world.sim.run_until(Time::zero() + 60'000_ms);
   ASSERT_TRUE(world.record.has_value());

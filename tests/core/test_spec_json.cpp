@@ -269,16 +269,32 @@ TEST(SpecJson, BeamPolicyOverridesApply) {
     "overrides": {"ue": {"beam_policy": {"policy": "hierarchical",
                                          "coarse_stride": 4}}}
   })");
-  EXPECT_EQ(spec.ues.front().beam_policy.kind,
+  EXPECT_EQ(spec.ues.front().tracker.beam_policy.kind,
             st::core::BeamPolicyKind::kHierarchical);
-  EXPECT_EQ(spec.ues.front().beam_policy.coarse_stride, 4U);
+  EXPECT_EQ(spec.ues.front().tracker.beam_policy.coarse_stride, 4U);
 
   const ScenarioSpec blind = from_text(R"({
     "preset": "paper_walk",
     "overrides": {"ue": {"beam_policy": {"policy": "blind"}}}
   })");
-  EXPECT_EQ(blind.ues.front().beam_policy.kind,
+  EXPECT_EQ(blind.ues.front().tracker.beam_policy.kind,
             st::core::BeamPolicyKind::kBlind);
+
+  // The E6 ablation parses and echoes back under the same wire value.
+  const ScenarioSpec full_sweep = from_text(R"({
+    "preset": "paper_walk",
+    "overrides": {"ue": {"beam_policy": {"policy": "full_sweep"}}}
+  })");
+  EXPECT_EQ(full_sweep.ues.front().tracker.beam_policy.kind,
+            st::core::BeamPolicyKind::kFullSweep);
+  const auto echo = spec_to_json(full_sweep);
+  EXPECT_EQ(echo.find("ues")
+                ->items()
+                .front()
+                .find("beam_policy")
+                ->find("policy")
+                ->as_string(),
+            "full_sweep");
 }
 
 TEST(SpecJson, BeamPolicyRejectsUnknownPolicyAndKeys) {
@@ -348,8 +364,8 @@ TEST(SpecJson, RateRejectsUnknownKeysAndBadValues) {
 
 TEST(SpecJson, EchoRoundTripsBeamPolicyAndRate) {
   ScenarioSpec spec = st::core::preset::paper_walk();
-  spec.ues.front().beam_policy.kind = st::core::BeamPolicyKind::kHierarchical;
-  spec.ues.front().beam_policy.coarse_stride = 5;
+  spec.ues.front().tracker.beam_policy.kind = st::core::BeamPolicyKind::kHierarchical;
+  spec.ues.front().tracker.beam_policy.coarse_stride = 5;
   spec.rate.n_rb = 51;
   const auto doc = spec_to_json(spec);
   ASSERT_NE(doc.find("rate"), nullptr);

@@ -266,33 +266,43 @@ TEST_F(ServeStream, SlowReaderLosesOldestFramesAndIsTold) {
   // Queue capacity 1: anything beyond the newest frame is dropped.
   subscribe(sub, "events", 0, /*delta=*/true, /*queue=*/1);
 
-  // Generate a burst of frames without reading: 3 jobs x 4+ frames each.
-  std::uint64_t last_id = 0;
-  for (int i = 0; i < 3; ++i) {
-    last_id = submit_job(
-        R"({"preset": "paper_walk", "overrides": {"duration_ms": 200}})");
-  }
-  ASSERT_TRUE(client_.wait(last_id).has_value());
-  // Let the stream thread push the backlog through the size-1 queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // One job whose ue_complete frames overflow the daemon's socket send
+  // buffer while nobody reads: the stream thread then blocks in
+  // write_frame, and every frame published meanwhile lands on the size-1
+  // queue, which must drop — however the threads are scheduled. A
+  // progress frame is well over 100 bytes, so sndbuf / 100 frames more
+  // than fill the buffer.
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(probe, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  ::close(probe);
+  const int n_ues = sndbuf / 100 + 100;
+  const std::string job =
+      R"({"preset": "paper_walk", "overrides": {"duration_ms": 20, )"
+      R"("n_ues": )" +
+      std::to_string(n_ues) + "}}";
+  const Value submitted = client_.submit(parse(job));
+  ASSERT_TRUE(ok(submitted)) << submitted.dump();
+  const std::uint64_t id = u64_field(submitted, "id");
+  ASSERT_TRUE(client_.wait(id).has_value());
 
+  // Read until the job's done frame, which is the last frame published.
   std::uint64_t dropped = 0;
   std::uint64_t received = 0;
-  bool closed = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!closed && std::chrono::steady_clock::now() < deadline) {
-    const auto frame = sub.next_frame(/*timeout_ms=*/100, &closed);
-    if (!frame.has_value()) {
-      break;  // drained
-    }
+  for (const Value& frame : collect_until(sub, [&](const Value& f) {
+         return is_terminal_for(f, id, "done");
+       })) {
     ++received;
-    dropped += u64_field(*frame, "dropped");
+    dropped += u64_field(frame, "dropped");
   }
-  // 3 jobs x (queued, running, ue_complete, done) = 12 bus frames; a
-  // size-1 queue cannot have delivered them all.
   EXPECT_GT(dropped, 0U);
-  EXPECT_LT(received, 12U);
+  // Conservation: every frame published for this subscriber (one per
+  // job event, as the poll path counts them) was delivered or counted.
+  const Value events = client_.events(id);
+  ASSERT_TRUE(ok(events));
+  EXPECT_EQ(received + dropped, u64_field(events, "next"));
 
   // The server-side ledger agrees someone lost frames.
   const Value stats = client_.stats();
