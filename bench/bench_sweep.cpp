@@ -486,11 +486,12 @@ std::vector<Axis> make_axes() {
                    {Column::kInterruptionP50, "interruption p50 ms"},
                    {Column::kAligned, "aligned %"}},
        .shape_check =
-           "Shape check: silent_tracker holds alignment with two probes per "
-           "drop; hierarchical pays a coarse sweep plus a refine round per "
-           "drop but recovers losses; blind switches without confirming and "
-           "bleeds alignment under rotation; the full re-sweep pays a whole "
-           "codebook of bursts per drop."});
+           "Shape check: silent_tracker holds alignment under rotation with "
+           "two probes per drop, where hierarchical (a coarse sweep plus a "
+           "refine round per drop) and the full re-sweep (a whole codebook "
+           "of bursts per drop) fall behind; blind switching skips the "
+           "confirming probe and stays within a few percent of "
+           "silent_tracker's outage."});
   return axes;
 }
 

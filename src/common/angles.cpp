@@ -4,16 +4,6 @@
 
 namespace st {
 
-double wrap_pi(double rad) noexcept {
-  double w = std::remainder(rad, kTwoPi);
-  // std::remainder returns values in [-pi, pi]; map -pi to +pi so the
-  // result lies in (-pi, pi] and wrap_pi(pi) == pi.
-  if (w <= -kPi) {
-    w += kTwoPi;
-  }
-  return w;
-}
-
 double wrap_two_pi(double rad) noexcept {
   double w = std::fmod(rad, kTwoPi);
   if (w < 0.0) {
@@ -24,10 +14,6 @@ double wrap_two_pi(double rad) noexcept {
 
 double angular_distance(double a_rad, double b_rad) noexcept {
   return std::fabs(wrap_pi(a_rad - b_rad));
-}
-
-double angular_difference(double from_rad, double to_rad) noexcept {
-  return wrap_pi(to_rad - from_rad);
 }
 
 double angular_lerp(double a_rad, double b_rad, double t) noexcept {

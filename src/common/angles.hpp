@@ -4,6 +4,7 @@
 // degrees.
 #pragma once
 
+#include <cmath>
 #include <numbers>
 
 namespace st {
@@ -20,7 +21,33 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 }
 
 /// Wrap an angle to (-pi, pi].
-[[nodiscard]] double wrap_pi(double rad) noexcept;
+///
+/// Bit-identical to std::remainder(rad, kTwoPi) with -pi mapped to +pi,
+/// without the libm call for the inputs the simulator produces: a value
+/// already in range is returned as is, and one within a turn of the range
+/// needs a single subtraction. There the IEEE remainder is exactly
+/// rad -/+ kTwoPi, and since kPi <= |rad| <= kTwoPi that subtraction is
+/// exact (Sterbenz lemma), so both forms round to the same double.
+/// Everything else (|rad| >= 2*pi, -pi itself, NaN, infinities) takes
+/// the remainder.
+[[nodiscard]] inline double wrap_pi(double rad) noexcept {
+  if (rad > -kPi && rad <= kPi) {
+    return rad;
+  }
+  if (rad > kPi && rad < kTwoPi) {
+    return rad - kTwoPi;
+  }
+  if (rad < -kPi && rad > -kTwoPi) {
+    return rad + kTwoPi;
+  }
+  double w = std::remainder(rad, kTwoPi);
+  // std::remainder returns values in [-pi, pi]; map -pi to +pi so the
+  // result lies in (-pi, pi] and wrap_pi(pi) == pi.
+  if (w <= -kPi) {
+    w += kTwoPi;
+  }
+  return w;
+}
 
 /// Wrap an angle to [0, 2*pi).
 [[nodiscard]] double wrap_two_pi(double rad) noexcept;
@@ -29,7 +56,10 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 [[nodiscard]] double angular_distance(double a_rad, double b_rad) noexcept;
 
 /// Signed shortest rotation taking `from` to `to`, in (-pi, pi].
-[[nodiscard]] double angular_difference(double from_rad, double to_rad) noexcept;
+[[nodiscard]] inline double angular_difference(double from_rad,
+                                               double to_rad) noexcept {
+  return wrap_pi(to_rad - from_rad);
+}
 
 /// Linear interpolation along the shortest arc from `a` to `b`.
 /// `t` in [0,1]; result is wrapped to (-pi, pi].

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace st {
 namespace {
@@ -69,6 +74,56 @@ TEST(Angles, AngularLerpTakesShortArc) {
   const double b = deg_to_rad(-170.0);
   const double mid = angular_lerp(a, b, 0.5);
   EXPECT_NEAR(angular_distance(mid, deg_to_rad(180.0)), 0.0, 1e-9);
+}
+
+/// The remainder-only wrap_pi that the inline fast path replaced.
+double wrap_pi_by_remainder(double rad) {
+  double w = std::remainder(rad, kTwoPi);
+  if (w <= -kPi) {
+    w += kTwoPi;
+  }
+  return w;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Angles, WrapPiMatchesRemainderBitwise) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> inputs = {
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 1e6, -1e6,
+      3.0 * kPi, -3.0 * kPi, std::numeric_limits<double>::denorm_min()};
+  for (const double edge : {0.0, kPi, kTwoPi}) {
+    for (const double x : {edge, -edge}) {
+      inputs.push_back(x);
+      inputs.push_back(std::nextafter(x, kInf));
+      inputs.push_back(std::nextafter(x, -kInf));
+    }
+  }
+  for (const double x : inputs) {
+    EXPECT_TRUE(same_bits(wrap_pi(x), wrap_pi_by_remainder(x))) << x;
+  }
+
+  // What the phy layer feeds it: the difference of two wrapped angles
+  // (a beam offset), then values across several turns (yaw, lerp).
+  Rng rng(20211);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double diff =
+        wrap_pi(rng.uniform(-4.0, 4.0)) - wrap_pi(rng.uniform(-4.0, 4.0));
+    const double wide = rng.uniform(-40.0, 40.0);
+    for (const double x : {diff, wide}) {
+      if (!same_bits(wrap_pi(x), wrap_pi_by_remainder(x))) {
+        ++mismatches;
+        ADD_FAILURE() << "wrap_pi differs from remainder at " << x;
+      }
+    }
+    if (mismatches > 10) {
+      break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
 }
 
 /// Property sweep: wrap_pi output is always in (-pi, pi] and preserves the

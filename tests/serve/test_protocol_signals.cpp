@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -98,6 +99,27 @@ class SignalStorm {
   std::thread thread_;
 };
 
+/// Poll `done` every 100 us for at most 5 s; returns whether it held.
+template <typename Pred>
+bool wait_up_to_5s(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+/// Bytes waiting unread in `fd`'s receive queue.
+int bytes_queued(int fd) {
+  int queued = 0;
+  EXPECT_EQ(::ioctl(fd, FIONREAD, &queued), 0);
+  return queued;
+}
+
 std::string frame_bytes(const std::string& payload) {
   const auto len = static_cast<std::uint32_t>(payload.size());
   std::string bytes;
@@ -124,14 +146,25 @@ TEST(ProtocolSignals, ReadFrameResumesAcrossEintrMidFrame) {
   // Drip the frame through in small slices with pauses, so the reader
   // spends the whole transfer blocked (in poll or in a short read) with
   // signals raining on it.
-  const std::uint64_t before = g_signals_delivered.load();
   constexpr std::size_t kSlice = 512;
-  for (std::size_t sent = 0; sent < bytes.size(); sent += kSlice) {
-    const std::size_t n = std::min(kSlice, bytes.size() - sent);
+  const std::size_t held_back = bytes.size() - kSlice;
+  for (std::size_t sent = 0; sent < held_back; sent += kSlice) {
+    const std::size_t n = std::min(kSlice, held_back - sent);
     ASSERT_EQ(::send(sockets.b, bytes.data() + sent, n, MSG_NOSIGNAL),
               static_cast<ssize_t>(n));
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  // Hold the last slice back until the reader has drained the socket —
+  // it is then inside read_frame, blocked mid-frame — and a signal has
+  // landed since. On a loaded machine the drip alone can finish before
+  // the storm's first signal, and then the test proves nothing.
+  const bool drained =
+      wait_up_to_5s([&] { return bytes_queued(sockets.a) == 0; });
+  const std::uint64_t before = g_signals_delivered.load();
+  const bool interrupted =
+      wait_up_to_5s([&] { return g_signals_delivered.load() > before; });
+  ASSERT_EQ(::send(sockets.b, bytes.data() + held_back, kSlice, MSG_NOSIGNAL),
+            static_cast<ssize_t>(kSlice));
   // Stop the storm before joining: a pthread_kill aimed at a joined
   // thread is undefined; at a finished-but-unjoined one it is benign.
   storm.stop();
@@ -139,9 +172,10 @@ TEST(ProtocolSignals, ReadFrameResumesAcrossEintrMidFrame) {
 
   EXPECT_EQ(result.status, FrameStatus::kOk);
   EXPECT_EQ(result.payload, payload);
-  // The storm must actually have landed while the frame was in flight,
-  // or the test proved nothing.
-  EXPECT_GT(g_signals_delivered.load(), before);
+  EXPECT_TRUE(drained) << "reader did not drain the first "
+                       << held_back << " bytes within 5 s";
+  EXPECT_TRUE(interrupted) << "no signal landed while the reader waited "
+                              "for the last slice";
 }
 
 TEST(ProtocolSignals, ReadFrameDeadlineResumesAcrossEintr) {
