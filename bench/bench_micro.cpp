@@ -6,9 +6,8 @@
 // enough that a 30 s scenario with millisecond-scale events runs in well
 // under a second.
 //
-// The BM_BestBeamPair* pair measures the channel-sweep fast path against
-// the naive per-pair formulation over the same codebooks; the snapshot
-// kernel must hold a >= 5x advantage (tracked across PRs via the JSON).
+// The BM_BestBeamPair* cases time one (UE, cell) sweep: a snapshot
+// (re)build plus the exhaustive 144-pair beam sweep over it.
 //
 // Besides the stdout table, the binary writes a machine-readable
 // `BENCH_micro.json` (op name -> ns/op, plus items/s throughput where a
@@ -108,23 +107,6 @@ struct SweepFixture {
     rx.position = {30.0, 10.0, 0.0};
   }
 };
-
-void BM_BestBeamPairNaive(benchmark::State& state) {
-  SweepFixture f;
-  std::int64_t t_ns = 0;
-  for (auto _ : state) {
-    t_ns += 1'000'000;
-    f.rx.position.x += 1e-4;
-    benchmark::DoNotOptimize(
-        f.channel.best_beam_pair_naive(f.tx, f.bs_codebook, f.rx,
-                                       f.ue_codebook,
-                                       sim::Time::from_ns(t_ns), 13.0));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(f.bs_codebook.size() * f.ue_codebook.size()));
-}
-BENCHMARK(BM_BestBeamPairNaive);
 
 void BM_BestBeamPairSnapshot(benchmark::State& state) {
   SweepFixture f;

@@ -1,7 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <cmath>
-#include <complex>
+#include <vector>
 
 #include "common/angles.hpp"
 #include "common/units.hpp"
@@ -38,6 +38,15 @@ bool same_orientation(const Quaternion& a, const Quaternion& b) noexcept {
   return a.w == b.w && a.x == b.x && a.y == b.y && a.z == b.z;
 }
 
+/// `v.normalized()` for a caller that already holds `norm == v.norm()`,
+/// zero-vector case included.
+Vec3 unit_direction(Vec3 v, double norm) noexcept {
+  if (norm <= 0.0) {
+    return {1.0, 0.0, 0.0};
+  }
+  return v / norm;
+}
+
 }  // namespace
 
 void Channel::make_snapshot(const Pose& tx_pose, const Pose& rx_pose,
@@ -61,7 +70,11 @@ void Channel::update_snapshot(const Pose& tx_pose, const Pose& rx_pose,
   }
 
   SnapshotReuse& r = *reuse;
-  const bool warm = r.valid;
+  const std::vector<MultipathGeometry::Reflector>& reflectors =
+      multipath_.reflectors();
+  const std::size_t n = 1 + reflectors.size();
+  // State sized for another path count cannot describe this channel.
+  const bool warm = r.valid && r.tx_leg_m.size() == n;
   // Cleared for the duration of the build: a throwing component can never
   // leave reuse state describing a half-built snapshot.
   r.valid = false;
@@ -90,45 +103,69 @@ void Channel::update_snapshot(const Pose& tx_pose, const Pose& rx_pose,
     r.block_until = w.until;
   }
 
-  if (!geometry_ok) {
-    r.departure.clear();
-    r.arrival.clear();
-    r.length_m.clear();
-    r.extra_loss_db.clear();
-    r.path_loss_db.clear();
-    r.phase_cos.clear();
-    r.phase_sin.clear();
-    r.is_los.clear();
-    multipath_.visit_paths(
-        tx_pose.position, rx_pose.position, [&](const PropagationPath& path) {
-          r.departure.push_back(path.departure_world);
-          r.arrival.push_back(path.arrival_world);
-          r.length_m.push_back(path.length_m);
-          r.extra_loss_db.push_back(path.extra_loss_db);
-          r.path_loss_db.push_back(pathloss_.loss_db(path.length_m));
-          if (coherent_) {
-            const double phase =
-                kTwoPi * std::fmod(path.length_m / wavelength_m_, 1.0);
-            r.phase_cos.push_back(std::cos(phase));
-            r.phase_sin.push_back(std::sin(phase));
-          } else {
-            r.phase_cos.push_back(0.0);
-            r.phase_sin.push_back(0.0);
-          }
-          r.is_los.push_back(path.is_los ? 1 : 0);
-        });
+  // Path geometry by index: the LOS path first, then one path per
+  // reflector, the order of MultipathGeometry::paths. Each leg takes one
+  // norm() for both its direction and its length: normalized() and
+  // distance() compute that same sqrt, and (a − b) differs from (b − a)
+  // only in sign, so both have the same norm. Every value equals paths()'
+  // bit for bit.
+  const auto set_path_length = [&](std::size_t p, double length_m) {
+    r.path_loss_db[p] = pathloss_.loss_db(length_m);
+    if (coherent_) {
+      const double phase = kTwoPi * std::fmod(length_m / wavelength_m_, 1.0);
+      r.phase_cos[p] = std::cos(phase);
+      r.phase_sin[p] = std::sin(phase);
+    } else {
+      r.phase_cos[p] = 0.0;
+      r.phase_sin[p] = 0.0;
+    }
+  };
+
+  // TX legs: a reflected path's departure direction and TX→reflector
+  // length depend on the TX position alone, and base stations never move.
+  if (!same_tx_pos) {
+    r.departure.resize(n);
+    r.tx_leg_m.resize(n);
+    for (std::size_t p = 1; p < n; ++p) {
+      const Vec3 leg = reflectors[p - 1].point - tx_pose.position;
+      const double leg_m = leg.norm();
+      r.departure[p] = unit_direction(leg, leg_m);
+      r.tx_leg_m[p] = leg_m;
+    }
   }
-  const std::size_t n = r.length_m.size();
+
+  // RX legs, the LOS departure and everything derived from path lengths.
+  if (!geometry_ok) {
+    r.arrival.resize(n);
+    r.path_loss_db.resize(n);
+    r.phase_cos.resize(n);
+    r.phase_sin.resize(n);
+    const Vec3 los_out = rx_pose.position - tx_pose.position;
+    const Vec3 los_in = tx_pose.position - rx_pose.position;
+    const double los_m = los_in.norm();
+    r.departure[0] = unit_direction(los_out, los_m);
+    r.arrival[0] = unit_direction(los_in, los_m);
+    set_path_length(0, los_m);
+    for (std::size_t p = 1; p < n; ++p) {
+      const Vec3 leg = reflectors[p - 1].point - rx_pose.position;
+      const double leg_m = leg.norm();
+      r.arrival[p] = unit_direction(leg, leg_m);
+      set_path_length(p, r.tx_leg_m[p] + leg_m);
+    }
+  }
 
   out.coherent = coherent_;
   out.resize(n);
 
-  // Body-frame azimuths: world-frame directions survive any delta that
-  // keeps both positions; rotations re-project the cached directions.
-  if (!(geometry_ok && tx_orient_ok)) {
+  // Body-frame azimuths. The reflected paths' TX azimuths stay in `out`
+  // while the TX pose holds; an RX move re-projects only the LOS
+  // departure. Rotations re-project the cached world-frame directions.
+  if (!(same_tx_pos && tx_orient_ok)) {
     for (std::size_t p = 0; p < n; ++p) {
       out.tx_az[p] = tx_pose.to_body_frame(r.departure[p]).azimuth();
     }
+  } else if (!same_rx_pos) {
+    out.tx_az[0] = tx_pose.to_body_frame(r.departure[0]).azimuth();
   }
   if (!(geometry_ok && rx_orient_ok)) {
     for (std::size_t p = 0; p < n; ++p) {
@@ -144,10 +181,11 @@ void Channel::update_snapshot(const Pose& tx_pose, const Pose& rx_pose,
   const bool bases_ok = geometry_ok && shadow_ok && block_ok && power_ok;
   if (!bases_ok) {
     for (std::size_t p = 0; p < n; ++p) {
-      double base = tx_power_dbm - r.path_loss_db[p] - r.extra_loss_db[p] -
-                    r.shadow_db;
-      if (r.is_los[p] != 0) {
-        base -= r.block_db;
+      const double extra_loss_db = p == 0 ? 0.0 : reflectors[p - 1].loss_db;
+      double base =
+          tx_power_dbm - r.path_loss_db[p] - extra_loss_db - r.shadow_db;
+      if (p == 0) {
+        base -= r.block_db;  // blockage attenuates the LOS path only
       }
       out.base_db[p] = base;
       out.base_linear[p] = from_db(base);
@@ -207,67 +245,6 @@ Channel::BestPair Channel::best_beam_pair(const Pose& tx_pose,
   PathSnapshot& snapshot = scratch_snapshot();
   make_snapshot(tx_pose, rx_pose, t, tx_power_dbm, snapshot);
   return sweep_beam_pairs(snapshot, tx_codebook, rx_codebook);
-}
-
-double Channel::rx_power_dbm_naive(const Pose& tx_pose, const Beam& tx_beam,
-                                   const Pose& rx_pose, const Beam& rx_beam,
-                                   sim::Time t, double tx_power_dbm) const {
-  const double shadow_db = shadowing_.sample_db(rx_pose.position);
-  const double block_db = blockage_.attenuation_db(t);
-
-  double sum_linear_mw = 0.0;
-  std::complex<double> sum_amplitude{0.0, 0.0};
-  for (const PropagationPath& path :
-       multipath_.paths(tx_pose.position, rx_pose.position)) {
-    const double tx_az = tx_pose.to_body_frame(path.departure_world).azimuth();
-    const double rx_az = rx_pose.to_body_frame(path.arrival_world).azimuth();
-    double pr_dbm = tx_power_dbm + tx_beam.gain_dbi(tx_az) +
-                    rx_beam.gain_dbi(rx_az) - pathloss_.loss_db(path.length_m) -
-                    path.extra_loss_db - shadow_db;
-    if (path.is_los) {
-      pr_dbm -= block_db;
-    }
-    if (coherent_) {
-      // Complex amplitude with the exact geometric phase: small-scale
-      // fading and Doppler emerge from the path-length differences.
-      const double phase =
-          kTwoPi * std::fmod(path.length_m / wavelength_m_, 1.0);
-      sum_amplitude += std::sqrt(from_db(pr_dbm)) *
-                       std::complex<double>(std::cos(phase), std::sin(phase));
-    } else {
-      sum_linear_mw += from_db(pr_dbm);
-    }
-  }
-  if (coherent_) {
-    return to_db(std::max(std::norm(sum_amplitude), 1e-30));
-  }
-  return to_db(sum_linear_mw);
-}
-
-Channel::BestPair Channel::best_beam_pair_naive(const Pose& tx_pose,
-                                                const Codebook& tx_codebook,
-                                                const Pose& rx_pose,
-                                                const Codebook& rx_codebook,
-                                                sim::Time t,
-                                                double tx_power_dbm) const {
-  BestPair best;
-  for (const Beam& tx : tx_codebook.beams()) {
-    BestBeam b;
-    for (const Beam& candidate : rx_codebook.beams()) {
-      const double p = rx_power_dbm_naive(tx_pose, tx, rx_pose, candidate, t,
-                                          tx_power_dbm);
-      if (b.beam == kInvalidBeam || p > b.rx_power_dbm) {
-        b.beam = candidate.id();
-        b.rx_power_dbm = p;
-      }
-    }
-    if (best.tx_beam == kInvalidBeam || b.rx_power_dbm > best.rx_power_dbm) {
-      best.tx_beam = tx.id();
-      best.rx_beam = b.beam;
-      best.rx_power_dbm = b.rx_power_dbm;
-    }
-  }
-  return best;
 }
 
 }  // namespace st::phy

@@ -81,12 +81,15 @@ class Channel {
   /// Incremental snapshot build. Like make_snapshot, but when `reuse`
   /// carries the valid state of the previous build of `out`, only the
   /// components the (pose, t, power) delta actually invalidates are
-  /// recomputed: an unchanged RX position keeps the shadowing sample, a t
-  /// still inside the cached blockage window keeps the attenuation,
+  /// recomputed: an unchanged TX pose keeps the reflected paths' TX legs
+  /// and TX azimuths (an RX move recomputes the LOS path and the RX legs
+  /// only), an unchanged RX position keeps the shadowing sample, a t
+  /// still inside the cached blockage window keeps the attenuation, and
   /// unchanged positions keep the whole path geometry (a pure rotation
   /// then refreshes nothing but the azimuths). The result is bit-identical
-  /// to a full build — pinned by tests/phy/test_path_snapshot.cpp.
-  /// `reuse` must describe `out` (same slot, as SnapshotEpochCache
+  /// to a full build and to a reference built from multipath().paths() —
+  /// pinned by tests/phy/test_path_snapshot.cpp. `reuse` must describe
+  /// `out` and this channel (same slot, as SnapshotEpochCache
   /// guarantees); pass nullptr for a one-off full build. `stats`, when
   /// non-null, accumulates per-component reuse counters.
   void update_snapshot(const Pose& tx_pose, const Pose& rx_pose, sim::Time t,
@@ -117,26 +120,6 @@ class Channel {
                                         const Pose& rx_pose,
                                         const Codebook& rx_codebook,
                                         sim::Time t, double tx_power_dbm) const;
-
-  // ---- Naive reference formulation ------------------------------------
-  // The original per-call formulation that re-derives every term (path
-  // set, shadowing, blockage, pathloss) for each beam pair. Kept as the
-  // golden reference for the snapshot equivalence tests
-  // (tests/phy/test_path_snapshot.cpp) and the bench_micro speedup
-  // comparison; production callers use the snapshot fast path above.
-
-  [[nodiscard]] double rx_power_dbm_naive(const Pose& tx_pose,
-                                          const Beam& tx_beam,
-                                          const Pose& rx_pose,
-                                          const Beam& rx_beam, sim::Time t,
-                                          double tx_power_dbm) const;
-
-  [[nodiscard]] BestPair best_beam_pair_naive(const Pose& tx_pose,
-                                              const Codebook& tx_codebook,
-                                              const Pose& rx_pose,
-                                              const Codebook& rx_codebook,
-                                              sim::Time t,
-                                              double tx_power_dbm) const;
 
   [[nodiscard]] const BlockageProcess& blockage() const noexcept {
     return blockage_;

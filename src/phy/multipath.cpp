@@ -32,8 +32,24 @@ std::vector<PropagationPath> MultipathGeometry::paths(Vec3 tx_position,
                                                       Vec3 rx_position) const {
   std::vector<PropagationPath> out;
   out.reserve(1 + reflectors_.size());
-  visit_paths(tx_position, rx_position,
-              [&out](const PropagationPath& p) { out.push_back(p); });
+  PropagationPath los;
+  los.departure_world = (rx_position - tx_position).normalized();
+  los.arrival_world = (tx_position - rx_position).normalized();
+  los.length_m = distance(tx_position, rx_position);
+  los.extra_loss_db = 0.0;
+  los.is_los = true;
+  out.push_back(los);
+
+  for (const Reflector& r : reflectors_) {
+    PropagationPath p;
+    p.departure_world = (r.point - tx_position).normalized();
+    p.arrival_world = (r.point - rx_position).normalized();
+    p.length_m =
+        distance(tx_position, r.point) + distance(r.point, rx_position);
+    p.extra_loss_db = r.loss_db;
+    p.is_los = false;
+    out.push_back(p);
+  }
   return out;
 }
 

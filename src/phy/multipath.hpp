@@ -60,35 +60,10 @@ class MultipathGeometry {
   explicit MultipathGeometry(std::vector<Reflector> reflectors);
 
   /// All paths between the two positions: LOS first, then one per
-  /// reflector.
+  /// reflector. Channel::update_snapshot builds the same paths by index,
+  /// bit for bit, without materialising them.
   [[nodiscard]] std::vector<PropagationPath> paths(Vec3 tx_position,
                                                    Vec3 rx_position) const;
-
-  /// Visit every path between the two positions without materialising a
-  /// vector — LOS first, then one per reflector, the same order as
-  /// paths(). The snapshot fast path builds its per-path state through
-  /// this to keep the sweep hot loop allocation-free.
-  template <typename Fn>
-  void visit_paths(Vec3 tx_position, Vec3 rx_position, Fn&& fn) const {
-    PropagationPath los;
-    los.departure_world = (rx_position - tx_position).normalized();
-    los.arrival_world = (tx_position - rx_position).normalized();
-    los.length_m = distance(tx_position, rx_position);
-    los.extra_loss_db = 0.0;
-    los.is_los = true;
-    fn(los);
-
-    for (const Reflector& r : reflectors_) {
-      PropagationPath p;
-      p.departure_world = (r.point - tx_position).normalized();
-      p.arrival_world = (r.point - rx_position).normalized();
-      p.length_m =
-          distance(tx_position, r.point) + distance(r.point, rx_position);
-      p.extra_loss_db = r.loss_db;
-      p.is_los = false;
-      fn(p);
-    }
-  }
 
   [[nodiscard]] const std::vector<Reflector>& reflectors() const noexcept {
     return reflectors_;

@@ -16,15 +16,18 @@
 // per-component inputs of the last build (world-frame geometry, slow
 // shadowing/blockage state, phases) together with the poses they were
 // computed for, so Channel::update_snapshot can recompute only the
-// components an actual pose/time delta invalidates. A pure rotation
-// refreshes nothing but the RX azimuths; a time step inside the same
-// blockage window with an unchanged pose refreshes nothing at all.
+// components an actual pose/time delta invalidates. Base stations never
+// move, so a walking mobile recomputes only the LOS path and the RX legs
+// of the reflected paths: their TX legs and TX azimuths carry over. A
+// pure rotation refreshes nothing but the azimuths; a time step inside
+// the same blockage window with an unchanged pose refreshes nothing at
+// all.
 //
-// Equivalence with the naive per-call formulation (kept as
-// Channel::rx_power_dbm_naive) is pinned to <= 1e-9 dB by
-// tests/phy/test_path_snapshot.cpp across coherent/incoherent configs and
-// all pattern families; incremental rebuilds are pinned bit-identical to
-// full rebuilds.
+// tests/phy/test_path_snapshot.cpp pins this fast path to a test-only
+// per-call oracle (tests/support/channel_oracle.hpp) to <= 1e-9 dB across
+// coherent/incoherent configs and all pattern families, and pins every
+// incremental rebuild bit for bit to a per-path reference built from
+// MultipathGeometry::paths().
 #pragma once
 
 #include <cstddef>
@@ -71,24 +74,29 @@ struct PathSnapshot {
 /// Cached build inputs of one snapshot, owned by the caller (one per
 /// cached snapshot slot) and threaded back into Channel::update_snapshot
 /// so consecutive builds recompute only what a delta invalidates. `valid`
-/// means: every field below describes the snapshot the caller holds. A
-/// build in progress clears it first, so a throwing channel can never
-/// leave reuse state describing a half-built snapshot.
+/// means: every field below describes the snapshot the caller holds —
+/// built by the same Channel — including the reflected paths' `tx_az`,
+/// which stay in that snapshot while the TX pose is unchanged. A build in
+/// progress clears it first, so a throwing channel can never leave reuse
+/// state describing a half-built snapshot. Per-path arrays are indexed
+/// like PathSnapshot: LOS first, then one entry per reflector.
 struct SnapshotReuse {
   bool valid = false;
   Pose tx_pose;
   Pose rx_pose;
   double tx_power_dbm = 0.0;
 
-  // Geometry-derived, valid while both positions are unchanged.
-  std::vector<Vec3> departure;        ///< world-frame departure directions
+  // TX legs, valid while the TX position is unchanged (entry 0, the LOS
+  // departure, while both positions are).
+  std::vector<Vec3> departure;    ///< world-frame departure directions
+  std::vector<double> tx_leg_m;   ///< TX→reflector lengths (entry 0 unused)
+
+  // RX legs and length-derived terms, valid while both positions are
+  // unchanged.
   std::vector<Vec3> arrival;          ///< world-frame arrival directions
-  std::vector<double> length_m;       ///< total path lengths
-  std::vector<double> extra_loss_db;  ///< reflection losses (0 for LOS)
-  std::vector<double> path_loss_db;   ///< pathloss over each length
+  std::vector<double> path_loss_db;   ///< pathloss over each path length
   std::vector<double> phase_cos;      ///< cos of the geometric phase
   std::vector<double> phase_sin;      ///< sin of the geometric phase
-  std::vector<std::uint8_t> is_los;   ///< 1 for the LOS path
 
   // Slow-process state.
   double shadow_db = 0.0;  ///< valid while the RX position is unchanged
@@ -102,7 +110,8 @@ struct SnapshotReuse {
 struct SnapshotBuildStats {
   std::uint64_t full_builds = 0;         ///< cold builds (no valid reuse)
   std::uint64_t incremental_builds = 0;  ///< builds that saw valid reuse
-  std::uint64_t geometry_reuses = 0;     ///< path geometry carried over
+  std::uint64_t geometry_reuses = 0;     ///< both positions unchanged: all
+                                         ///< path geometry carried over
   std::uint64_t shadow_reuses = 0;       ///< shadowing sample carried over
   std::uint64_t blockage_reuses = 0;     ///< blockage window carried over
   std::uint64_t azimuth_reuses = 0;      ///< both azimuth sets carried over

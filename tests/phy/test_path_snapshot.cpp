@@ -1,22 +1,29 @@
 // Golden equivalence of the channel-sweep fast path (path snapshots +
-// allocation-free kernels, path_snapshot.hpp) against the naive per-call
-// formulation kept as Channel::rx_power_dbm_naive /
-// best_beam_pair_naive. The fast path replaces the naive one everywhere
-// in production, so these tests are the contract that the refactor
-// changed nothing observable: power matches to <= 1e-9 dB and sweeps
-// pick the identical winning beam ids across coherent/incoherent
-// combining, all pattern families, rotated poses, and blocked instants.
+// allocation-free kernels, path_snapshot.hpp) against the test-only
+// oracle in tests/support/channel_oracle.hpp. The fast path is the only
+// formulation in production, so these tests are the contract that it
+// computes the channel model: power matches the naive per-call
+// formulation to <= 1e-9 dB and sweeps pick the identical winning beam
+// ids across coherent/incoherent combining, all pattern families, rotated
+// poses, and blocked instants; every incremental rebuild equals the
+// per-path reference snapshot bit for bit.
 #include "phy/path_snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/quaternion.hpp"
 #include "phy/channel.hpp"
 #include "phy/codebook.hpp"
+#include "phy/snapshot_cache.hpp"
+#include "support/channel_oracle.hpp"
 
 namespace st::phy {
 namespace {
@@ -35,13 +42,23 @@ BlockageConfig busy_blockage() {
   return config;
 }
 
-Channel make_channel(bool coherent, unsigned reflectors = 3,
-                     std::uint64_t seed = 7) {
+ChannelConfig channel_config(bool coherent, unsigned reflectors = 3) {
   ChannelConfig config;
   config.coherent_combining = coherent;
   config.multipath.reflector_count = reflectors;
   config.blockage = busy_blockage();
-  return Channel(config, {0.0, 0.0, 0.0}, {30.0, 10.0, 0.0}, 60_s, seed);
+  return config;
+}
+
+Channel make_channel(bool coherent, unsigned reflectors = 3,
+                     std::uint64_t seed = 7) {
+  return Channel(channel_config(coherent, reflectors), {0.0, 0.0, 0.0},
+                 {30.0, 10.0, 0.0}, 60_s, seed);
+}
+
+/// The oracle for a channel made by make_channel(coherent, ...).
+test::ChannelOracle oracle_for(const Channel& channel, bool coherent) {
+  return {channel, channel_config(coherent)};
 }
 
 /// A pose set exercising translation and body-frame rotation (the
@@ -99,6 +116,7 @@ class PathSnapshotEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PathSnapshotEquivalence, RxPowerMatchesNaive) {
   const Channel channel = make_channel(GetParam());
+  const test::ChannelOracle oracle = oracle_for(channel, GetParam());
   const Pose tx_pose;
   for (const PatternCase& pc : pattern_cases()) {
     for (const Pose& rx_pose : rx_poses()) {
@@ -109,8 +127,8 @@ TEST_P(PathSnapshotEquivalence, RxPowerMatchesNaive) {
                 channel.rx_power_dbm(tx_pose, pc.tx.beam(tb), rx_pose,
                                      pc.rx.beam(rb), t, kTxPowerDbm);
             const double naive =
-                channel.rx_power_dbm_naive(tx_pose, pc.tx.beam(tb), rx_pose,
-                                           pc.rx.beam(rb), t, kTxPowerDbm);
+                oracle.rx_power_dbm(tx_pose, pc.tx.beam(tb), rx_pose,
+                                    pc.rx.beam(rb), t, kTxPowerDbm);
             ASSERT_NEAR(fast, naive, kTolDb)
                 << pc.name << " tx_beam=" << tb << " rx_beam=" << rb
                 << " t=" << t.ns() << "ns";
@@ -123,13 +141,14 @@ TEST_P(PathSnapshotEquivalence, RxPowerMatchesNaive) {
 
 TEST_P(PathSnapshotEquivalence, BestPairMatchesNaive) {
   const Channel channel = make_channel(GetParam());
+  const test::ChannelOracle oracle = oracle_for(channel, GetParam());
   const Pose tx_pose;
   for (const PatternCase& pc : pattern_cases()) {
     for (const Pose& rx_pose : rx_poses()) {
       for (const sim::Time t : sample_times(channel)) {
         const Channel::BestPair fast = channel.best_beam_pair(
             tx_pose, pc.tx, rx_pose, pc.rx, t, kTxPowerDbm);
-        const Channel::BestPair naive = channel.best_beam_pair_naive(
+        const Channel::BestPair naive = oracle.best_beam_pair(
             tx_pose, pc.tx, rx_pose, pc.rx, t, kTxPowerDbm);
         ASSERT_EQ(fast.tx_beam, naive.tx_beam) << pc.name;
         ASSERT_EQ(fast.rx_beam, naive.rx_beam) << pc.name;
@@ -279,12 +298,13 @@ TEST(SweepKernels, PathCountsOffTheSimdLaneWidthMatchNaive) {
   for (const bool coherent : {false, true}) {
     for (const unsigned reflectors : {0u, 4u, 6u, 7u}) {
       const Channel channel = make_channel(coherent, reflectors);
+      const test::ChannelOracle oracle = oracle_for(channel, coherent);
       for (const Pose& rx_pose : rx_poses()) {
         PathSnapshot snapshot;
         channel.make_snapshot(tx_pose, rx_pose, t, kTxPowerDbm, snapshot);
         ASSERT_EQ(snapshot.size(), reflectors + 1u);
         const Channel::BestPair fast = sweep_beam_pairs(snapshot, tx_cb, rx_cb);
-        const Channel::BestPair naive = channel.best_beam_pair_naive(
+        const Channel::BestPair naive = oracle.best_beam_pair(
             tx_pose, tx_cb, rx_pose, rx_cb, t, kTxPowerDbm);
         ASSERT_EQ(fast.tx_beam, naive.tx_beam)
             << "reflectors=" << reflectors << " coherent=" << coherent;
@@ -359,6 +379,7 @@ TEST(IncrementalSnapshot, SweepsOverAnUpdatedSnapshotMatchNaive) {
   // End-to-end: reuse-threaded snapshots fed to the sweep kernels agree
   // with the naive evaluation over the same trajectory.
   const Channel channel = make_channel(true);
+  const test::ChannelOracle oracle = oracle_for(channel, true);
   const Codebook tx_cb = Codebook::from_beamwidth_deg(45.0);
   const Codebook rx_cb = Codebook::from_beamwidth_deg(20.0);
   const Pose tx_pose;
@@ -373,11 +394,252 @@ TEST(IncrementalSnapshot, SweepsOverAnUpdatedSnapshotMatchNaive) {
     channel.update_snapshot(tx_pose, rx_pose, t, kTxPowerDbm, snapshot,
                             &reuse, nullptr);
     const Channel::BestPair fast = sweep_beam_pairs(snapshot, tx_cb, rx_cb);
-    const Channel::BestPair naive = channel.best_beam_pair_naive(
+    const Channel::BestPair naive = oracle.best_beam_pair(
         tx_pose, tx_cb, rx_pose, rx_cb, t, kTxPowerDbm);
     ASSERT_EQ(fast.tx_beam, naive.tx_beam) << "step " << step;
     ASSERT_EQ(fast.rx_beam, naive.rx_beam) << "step " << step;
     ASSERT_NEAR(fast.rx_power_dbm, naive.rx_power_dbm, kTolDb);
+  }
+}
+
+
+// ---- Rebuilds against the per-path reference ---------------------------
+//
+// The tests above compare the reuse-threaded build against a full build,
+// and both run the same rebuild code. These compare every step against
+// ChannelOracle::snapshot, built from MultipathGeometry::paths() with no
+// state carried between steps, so a bug shared by the full and the
+// incremental build shows too.
+
+/// One query of a trajectory: both poses and the instant.
+struct Step {
+  Pose tx;
+  Pose rx;
+  sim::Time t;
+};
+
+/// `got` must equal `want` bit for bit (-0.0 and +0.0 differ).
+void expect_bits_equal(const std::vector<double>& got,
+                       const std::vector<double>& want, const char* array,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where << ' ' << array;
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[p]),
+              std::bit_cast<std::uint64_t>(want[p]))
+        << where << ' ' << array << '[' << p << "]: got "
+        << std::setprecision(17) << got[p] << ", want " << want[p];
+  }
+}
+
+void expect_matches_reference(const PathSnapshot& got,
+                              const PathSnapshot& want,
+                              const std::string& where) {
+  ASSERT_EQ(got.coherent, want.coherent) << where;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_bits_equal(got.tx_az, want.tx_az, "tx_az", where));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_bits_equal(got.rx_az, want.rx_az, "rx_az", where));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_bits_equal(got.base_db, want.base_db, "base_db", where));
+  ASSERT_NO_FATAL_FAILURE(expect_bits_equal(got.base_linear, want.base_linear,
+                                            "base_linear", where));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_bits_equal(got.amp_cos, want.amp_cos, "amp_cos", where));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_bits_equal(got.amp_sin, want.amp_sin, "amp_sin", where));
+}
+
+/// A walk from the make_channel anchor past a static TX at the origin:
+/// ~1.4 m/s at 10 ms ticks, every 7th step rotation-only and every 11th a
+/// pure time advance. `steps` of 400 span 4 s, enough for busy_blockage's
+/// ramps and flat phases.
+std::vector<Step> walk(int steps) {
+  std::vector<Step> out;
+  Pose rx;
+  rx.position = {30.0, 10.0, 0.0};
+  for (int step = 0; step < steps; ++step) {
+    if (step % 11 != 0 && step % 7 != 0) {
+      rx.position.x += 0.014;
+      rx.position.y += 0.007;
+    }
+    if (step % 7 == 0) {
+      rx.orientation = Quaternion::from_yaw(0.05 * static_cast<double>(step));
+    }
+    out.push_back({Pose{}, rx,
+                   sim::Time::from_ns(100'000'000 +
+                                      std::int64_t{step} * 10'000'000)});
+  }
+  return out;
+}
+
+/// Rebuilds every step through one reuse slot and checks each against the
+/// reference; returns the slot's reuse accounting.
+SnapshotBuildStats replay(const Channel& channel,
+                          const test::ChannelOracle& oracle,
+                          const std::vector<Step>& steps,
+                          const std::string& name) {
+  PathSnapshot snapshot;
+  SnapshotReuse reuse;
+  SnapshotBuildStats stats;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
+    channel.update_snapshot(s.tx, s.rx, s.t, kTxPowerDbm, snapshot, &reuse,
+                            &stats);
+    expect_matches_reference(snapshot,
+                             oracle.snapshot(s.tx, s.rx, s.t, kTxPowerDbm),
+                             name + " step " + std::to_string(i));
+    if (::testing::Test::HasFatalFailure()) {
+      break;
+    }
+  }
+  return stats;
+}
+
+std::string mode_name(bool coherent) {
+  return coherent ? "coherent" : "incoherent";
+}
+
+TEST(RebuildReference, StaticTxWalkMatchesPerPathReferenceBitwise) {
+  for (const bool coherent : {false, true}) {
+    const Channel channel = make_channel(coherent);
+    const std::vector<Step> steps = walk(400);
+    const SnapshotBuildStats stats =
+        replay(channel, oracle_for(channel, coherent), steps,
+               mode_name(coherent));
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(stats.full_builds, 1u);
+    EXPECT_EQ(stats.incremental_builds, steps.size() - 1);
+    EXPECT_GT(stats.geometry_reuses, 0u);
+    EXPECT_GT(stats.azimuth_reuses, 0u);
+    EXPECT_GT(stats.blockage_reuses, 0u);
+    EXPECT_LT(stats.blockage_reuses, steps.size() - 1)
+        << "the walk never crossed a blockage window";
+  }
+}
+
+TEST(RebuildReference, MovedOrRotatedTxRecomputesTheTxLegs) {
+  // The reflected paths' TX legs and TX azimuths carry over only while
+  // the TX pose holds. Steps 44 and 88 are pure time advances for the
+  // mobile, so the TX move and the TX rotation there are the only deltas;
+  // at step 120 the TX moves and turns while the mobile walks.
+  for (const bool coherent : {false, true}) {
+    const Channel channel = make_channel(coherent);
+    std::vector<Step> steps = walk(160);
+    for (std::size_t i = 44; i < steps.size(); ++i) {
+      Pose& tx = steps[i].tx;
+      tx.position = i < 120 ? Vec3{1.5, -2.0, 3.0} : Vec3{-4.0, 6.5, 2.0};
+      if (i >= 120) {
+        tx.orientation = Quaternion::from_yaw(-1.1);
+      } else if (i >= 88) {
+        tx.orientation = Quaternion::from_yaw(0.7);
+      }
+    }
+    const SnapshotBuildStats stats =
+        replay(channel, oracle_for(channel, coherent), steps,
+               mode_name(coherent));
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(stats.full_builds, 1u);
+  }
+}
+
+TEST(RebuildReference, ReflectorFreeChannelMatchesReferenceBitwise) {
+  for (const bool coherent : {false, true}) {
+    const Channel channel = make_channel(coherent, /*reflectors=*/0);
+    const SnapshotBuildStats stats =
+        replay(channel, oracle_for(channel, coherent), walk(120),
+               mode_name(coherent));
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(stats.full_builds, 1u);
+  }
+}
+
+TEST(RebuildReference, ZeroLengthLegsMatchReferenceBitwise) {
+  // A mobile exactly on a reflector point (a zero-length RX leg), then
+  // exactly on the TX (a zero-length LOS path), then a TX on a reflector
+  // point (a zero-length TX leg): the zero vector's direction {1,0,0} and
+  // length 0 must come out as normalized() and distance() give them.
+  for (const bool coherent : {false, true}) {
+    const Channel channel = make_channel(coherent);
+    const std::vector<MultipathGeometry::Reflector>& reflectors =
+        channel.multipath().reflectors();
+    ASSERT_GE(reflectors.size(), 2u);
+    std::vector<Step> steps = walk(12);
+    const auto add = [&](Vec3 tx_at, Vec3 rx_at, double rx_yaw) {
+      Step s = steps.back();
+      s.tx.position = tx_at;
+      s.rx.position = rx_at;
+      s.rx.orientation = Quaternion::from_yaw(rx_yaw);
+      s.t = s.t + sim::Duration::milliseconds(10);
+      steps.push_back(s);
+    };
+    const Vec3 origin{0.0, 0.0, 0.0};
+    const Vec3 away{20.0, -5.0, 1.0};
+    add(origin, reflectors[0].point, 0.0);
+    add(origin, reflectors[0].point, 0.0);  // time only
+    add(origin, reflectors[0].point, 1.2);  // rotation only
+    add(origin, origin, 1.2);
+    add(origin, origin, -0.4);
+    add(origin, away, -0.4);
+    add(reflectors[1].point, away, -0.4);
+    add(reflectors[1].point, reflectors[1].point, -0.4);
+    add(reflectors[1].point, away, 0.3);
+    replay(channel, oracle_for(channel, coherent), steps, mode_name(coherent));
+    ASSERT_FALSE(HasFatalFailure());
+  }
+}
+
+TEST(RebuildReference, ReuseSizedForAnotherPathCountBuildsCold) {
+  // Reuse state threaded from a channel with another reflector count
+  // cannot describe this one; the build must start cold, not index the
+  // other channel's per-path arrays.
+  const Channel three = make_channel(false, 3);
+  const Channel five = make_channel(false, 5);
+  const Step s = walk(1).front();
+  PathSnapshot snapshot;
+  SnapshotReuse reuse;
+  SnapshotBuildStats stats;
+  three.update_snapshot(s.tx, s.rx, s.t, kTxPowerDbm, snapshot, &reuse,
+                        &stats);
+  five.update_snapshot(s.tx, s.rx, s.t, kTxPowerDbm, snapshot, &reuse,
+                       &stats);
+  EXPECT_EQ(stats.full_builds, 2u);
+  expect_matches_reference(
+      snapshot, oracle_for(five, false).snapshot(s.tx, s.rx, s.t, kTxPowerDbm),
+      "five reflectors");
+}
+
+TEST(RebuildReference, CrossUeInvalidationMatchesReferenceBitwise) {
+  // Two mobiles, each with its own link to the same cell, share one epoch
+  // cache slot: every change of UE evicts the slot and must drop the
+  // other link's carried state (TX legs and TX azimuths included).
+  for (const bool coherent : {false, true}) {
+    const Channel channels[2] = {make_channel(coherent, 3, 7),
+                                 make_channel(coherent, 3, 8)};
+    const test::ChannelOracle oracles[2] = {oracle_for(channels[0], coherent),
+                                            oracle_for(channels[1], coherent)};
+    std::vector<Step> walks[2] = {walk(90), walk(90)};
+    for (Step& s : walks[1]) {
+      s.rx.position = Vec3{-12.0, 25.0, 0.0} + 0.5 * s.rx.position;
+    }
+    SnapshotEpochCache cache;
+    cache.resize(1);
+    std::size_t next[2] = {0, 0};
+    for (std::size_t q = 0; q < 180; ++q) {
+      // Runs of three queries for UE 0, then two for UE 1.
+      const std::uint32_t ue = q % 5 < 3 ? 0 : 1;
+      const Step& s = walks[ue][next[ue]++ % walks[ue].size()];
+      const PathSnapshot& got = cache.fill(
+          ue, 0, s.t, [&](PathSnapshot& snapshot, SnapshotReuse& reuse) {
+            channels[ue].update_snapshot(s.tx, s.rx, s.t, kTxPowerDbm,
+                                         snapshot, &reuse, nullptr);
+          });
+      expect_matches_reference(
+          got, oracles[ue].snapshot(s.tx, s.rx, s.t, kTxPowerDbm),
+          mode_name(coherent) + " query " + std::to_string(q));
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    EXPECT_GT(cache.stats().invalidations, 0u);
+    EXPECT_GT(cache.stats().refreshes, 0u);
   }
 }
 
